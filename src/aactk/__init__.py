@@ -7,7 +7,7 @@ identities in Z[zeta_p], and the v1*h(4D) divisibility conjecture for
 odd nonsquare D together with its known counterexamples.
 """
 
-from . import congruences, cyclotomic, errors, gaac, modmath, padiclog, quadfield
+from . import congruences, cyclotomic, errors, gaac, modmath, padiclog, quadfield, scan
 
 __all__ = [
     "congruences",
@@ -17,6 +17,7 @@ __all__ = [
     "modmath",
     "padiclog",
     "quadfield",
+    "scan",
 ]
 
 __version__ = "0.1.0"

@@ -13,9 +13,15 @@ field ("crc", CRC-32 of the canonical record without it).  Output is
 deterministic: keys sorted, items in ascending p/D order, so identical
 runs are byte-identical.
 
+Scans run through aactk.scan.  A resumed scan counts only the checkpoint
+records inside its range, and refuses (exit 2, nothing appended) records
+of another kind or density blocks of another size.
+
 Exit codes: 0 all statements hold, 1 some congruence failed (a finding,
 not an error: scans keep going past failures), 2 usage or precondition
-violation, 3 checkpoint corruption or I/O failure.
+violation, 3 checkpoint corruption or I/O failure, 4 internal failure
+(ComputationBug, PrecisionLoss or ToleranceExceeded: the implementation
+or its precision is at fault, not the input).
 
 The AACTK_DPS environment variable overrides the default working
 precision (decimal digits) of the floating-point checks.
@@ -26,22 +32,19 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 
-from . import congruences, gaac, modmath, quadfield
+from . import congruences, gaac, modmath, quadfield, scan
 from .errors import CheckpointCorrupt, Error, PreconditionViolation
 
 EXIT_OK = 0
 EXIT_FAILED_CONGRUENCE = 1
 EXIT_USAGE = 2
 EXIT_CORRUPT = 3
-
-_PARALLEL_THRESHOLD = 64  # below this many items, process pools cost more than they save
+EXIT_BUG = 4
 
 
 def _canonical(record: dict) -> str:
@@ -62,10 +65,10 @@ def _check_crc(record: dict) -> dict:
     return record
 
 
-def _parse_line(line: str) -> dict:
+def _parse_line(line: bytes) -> dict:
     try:
         record = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise CheckpointCorrupt(f"unparseable record: {exc}") from None
     if not isinstance(record, dict):
         raise CheckpointCorrupt("record is not an object")
@@ -75,46 +78,28 @@ def _parse_line(line: str) -> dict:
 def load_checkpoint(path: str, *, tolerate_torn_tail: bool = False) -> list[dict]:
     """Read a newline-delimited checkpoint, verifying each line's crc.
 
-    With tolerate_torn_tail, a final line that fails to parse or verify
-    is treated as an interrupted write and dropped (the file is
-    truncated); corruption anywhere else still raises.
+    With tolerate_torn_tail, a final line that fails to parse or verify,
+    or lacks its newline, is treated as an interrupted write and dropped:
+    the file is truncated in place after the last good line.  Corruption
+    anywhere else still raises.
     """
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        lines = fh.read().splitlines(keepends=True)
+    good_end = 0
     for i, line in enumerate(lines):
-        if not line.strip():
-            continue
-        try:
-            records.append(_parse_line(line))
-        except CheckpointCorrupt:
-            if tolerate_torn_tail and i == len(lines) - 1:
-                with open(path, "w", encoding="utf-8") as fh:
-                    fh.write("".join(l + "\n" for l in lines[:i]))
-                break
-            raise
+        if line.strip():
+            try:
+                if tolerate_torn_tail and not line.endswith(b"\n"):
+                    raise CheckpointCorrupt("final line has no newline")
+                records.append(_parse_line(line))
+            except CheckpointCorrupt:
+                if tolerate_torn_tail and i == len(lines) - 1:
+                    os.truncate(path, good_end)
+                    break
+                raise
+        good_end += len(line)
     return records
-
-
-class _RecordWriter:
-    """Single writer owning the checkpoint file (or stdout)."""
-
-    def __init__(self, path: str | None, out):
-        self._fh = open(path, "a", encoding="utf-8") if path else None
-        self._out = out
-
-    def write(self, record: dict) -> None:
-        line = _canonical(_with_crc(record))
-        if self._fh is not None:
-            self._fh.write(line + "\n")
-            self._fh.flush()
-        else:
-            self._out.write(line + "\n")
-
-    def close(self) -> None:
-        if self._fh is not None:
-            os.fsync(self._fh.fileno())
-            self._fh.close()
 
 
 def _render(records: list[dict], fmt: str, out) -> None:
@@ -207,104 +192,38 @@ def _run_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# scan workers (module level so process pools can pickle them)
-
-
-def _gaac_item(D: int) -> dict:
-    return gaac.gaac_check(D).to_record()
-
-
-def _aac_item(p: int) -> dict:
-    unit = quadfield.fundamental_unit(p)
-    u_mod = unit.u % p
-    return {"p": p, "u_mod_p": u_mod, "holds": u_mod != 0}
-
-
-def _eisenstein_item(p: int) -> dict:
-    return congruences.verify_eisenstein(p).to_record()
-
-
-def _density_item(block: tuple[int, int]) -> dict:
-    lo, hi = block
-    count = 0
-    for n in range(lo, hi + 1):
-        if n % 2:
-            continue  # odd n: 8 | n^2 - 1
-        if gaac.squarefree(n - 1) and gaac.squarefree(n + 1):
-            count += 1
-    return {"n_lo": lo, "n_hi": hi, "count": count}
-
-
-_SCAN_KINDS = {
-    "gaac": (_gaac_item, "D"),
-    "aac": (_aac_item, "p"),
-    "eisenstein": (_eisenstein_item, "p"),
-    "density": (_density_item, "n_lo"),
-}
-
-
-def _scan_items(kind: str, lo: int, hi: int, block: int):
-    if kind == "gaac":
-        start = max(3, lo)
-        if start % 2 == 0:
-            start += 1
-        return [D for D in range(start, hi + 1, 2) if math.isqrt(D) ** 2 != D]
-    if kind == "aac":
-        return [p for p in modmath.primes_in(max(5, lo), hi) if p % 4 == 1]
-    if kind == "eisenstein":
-        return [p for p in modmath.primes_in(max(5, lo), hi) if p % 8 == 5]
-    if kind == "density":
-        blocks = []
-        n = max(2, lo)
-        while n <= hi:
-            blocks.append((n, min(n + block - 1, hi)))
-            n += block
-        return blocks
-    raise PreconditionViolation(f"unknown scan kind {kind!r}")
+# scan
 
 
 def _run_scan(args) -> int:
     kind = args.kind
-    worker, key = _SCAN_KINDS.get(kind, (None, None))
-    if worker is None:
-        raise PreconditionViolation(f"unknown scan kind {kind!r}")
     hi = args.x if (kind == "density" and args.x is not None) else args.max
     if hi is None:
         raise PreconditionViolation("scan needs --max (or --x for density)")
     lo = args.min if args.min is not None else (2 if kind == "density" else 3)
+    items = scan.plan(kind, lo, hi, args.block)
 
     done: dict = {}
     if args.checkpoint and os.path.exists(args.checkpoint):
-        for rec in load_checkpoint(args.checkpoint, tolerate_torn_tail=True):
-            done[rec.get(key)] = rec
+        loaded = load_checkpoint(args.checkpoint, tolerate_torn_tail=True)
+        done = scan.resumed(kind, lo, hi, items, loaded)
+    todo = [item for item in items if item not in done]
 
-    items = _scan_items(kind, lo, hi, args.block)
-    todo = [it for it in items if (it[0] if kind == "density" else it) not in done]
-
-    writer = _RecordWriter(args.checkpoint, sys.stdout)
+    out = open(args.checkpoint, "a", encoding="utf-8") if args.checkpoint else sys.stdout
     t0 = time.monotonic()
     new_records = []
     try:
-        jobs = args.jobs if args.jobs else os.cpu_count() or 1
-        if jobs > 1 and len(todo) >= _PARALLEL_THRESHOLD:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                chunk = max(1, len(todo) // (jobs * 8))
-                for rec in pool.map(worker, todo, chunksize=chunk):
-                    writer.write(rec)
-                    new_records.append(rec)
-        else:
-            for item in todo:
-                rec = worker(item)
-                writer.write(rec)
-                new_records.append(rec)
+        for rec in scan.run(kind, todo, args.jobs or os.cpu_count() or 1):
+            out.write(_canonical(_with_crc(rec)) + "\n")
+            out.flush()
+            new_records.append(rec)
     finally:
-        writer.close()
+        if out is not sys.stdout:
+            os.fsync(out.fileno())
+            out.close()
     elapsed = time.monotonic() - t0
-
-    all_records = sorted(
-        list(done.values()) + new_records, key=lambda r: r.get(key, 0)
-    )
-    return _scan_summary(kind, all_records, elapsed, args)
+    done.update(zip(todo, new_records))
+    return _scan_summary(kind, [done[item] for item in items], elapsed, args)
 
 
 def _scan_summary(kind: str, records: list[dict], elapsed: float, args) -> int:
@@ -319,7 +238,7 @@ def _scan_summary(kind: str, records: list[dict], elapsed: float, args) -> int:
             f"partial-product(z={args.z})={const:.4f} elapsed={elapsed:.1f}s\n"
         )
         return EXIT_OK
-    failures = [r for r in records if not r.get("holds", True)]
+    failures = [r for r in records if not r["holds"]]
     held = len(records) - len(failures)
     err.write(
         f"{kind} scan: counted={len(records)} held={held} "
@@ -447,8 +366,8 @@ def main(argv=None) -> int:
         print(f"error: precondition failed: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except Error as exc:
-        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        print(f"error: internal failure: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return EXIT_BUG
     except BrokenPipeError:
         # Downstream pager closed early; not an error worth reporting.
         devnull = os.open(os.devnull, os.O_WRONLY)

@@ -36,7 +36,6 @@ from .errors import (
     BadRepresentatives,
     DivisibilityBug,
     HypothesisFail,
-    NotNonResidue,
     OutOfRange,
     WrongResidueClass,
 )
@@ -125,13 +124,6 @@ def _require_1mod4(p) -> int:
     return p
 
 
-def _require_nonresidue(m: int, p: int) -> None:
-    if not 1 <= m <= p - 1:
-        raise OutOfRange(f"m = {m} outside [1, {p - 1}]")
-    if modmath.legendre(m, p) != -1:
-        raise NotNonResidue(f"{m} is a quadratic residue mod {p}")
-
-
 def verify_aac(p) -> CongruenceReport:
     """2hu/t = (A+B)/p mod p, with (A+B)/p an exact integer division."""
     p = _require_1mod4(p)
@@ -194,7 +186,7 @@ def verify_thm51(p, m: int) -> tuple[CongruenceReport, CongruenceReport]:
       F(m) = -4hu/t + 2 sum_{n in N} floor(mn/p)/(mn)
     """
     p = _require_1mod4(p)
-    _require_nonresidue(m, p)
+    modmath.require_nonresidue(m, p)
     lhs = modmath.fermat_quotient_mod(m, p)
 
     data = unit_class_data(p)
@@ -222,7 +214,7 @@ def verify_cor53(p, m: int) -> CongruenceReport:
     is flagged in the notes as 'printed-form-differs'.
     """
     p = _require_1mod4(p)
-    _require_nonresidue(m, p)
+    modmath.require_nonresidue(m, p)
     lhs = m * modmath.fermat_quotient_mod(m, p) % p
 
     inv = modmath.inverse_table(p)
@@ -243,7 +235,7 @@ def verify_thm54(p, M: int) -> CongruenceReport:
     if M <= 0:
         raise OutOfRange(f"M = {M} must be positive")
     m = M % p
-    _require_nonresidue(m, p)
+    modmath.require_nonresidue(m, p)
     lhs = -M * modmath.fermat_quotient_mod(M, p) % p
 
     h = modmath._harmonic_values(p)
@@ -321,8 +313,8 @@ def verify_thm56(p, r: int, abar: int, bbar: int) -> CongruenceReport:
         raise OutOfRange("abar and bbar must be positive")
     a = abar % p
     b = bbar % p
-    _require_nonresidue(a, p)
-    _require_nonresidue(b, p)
+    modmath.require_nonresidue(a, p)
+    modmath.require_nonresidue(b, p)
     if abar * bbar % (p * p) != r % (p * p):
         raise BadFactorization(
             f"abar*bbar = {abar * bbar % (p * p)} != r = {r} mod {p}^2"
@@ -344,7 +336,7 @@ def verify_thm56(p, r: int, abar: int, bbar: int) -> CongruenceReport:
 def verify_aac1952(p, n: int) -> CongruenceReport:
     """4hu/t = -(1/n) sum_{k=1}^{p-1} floor(nk/p) (k/p) / k mod p."""
     p = _require_1mod4(p)
-    _require_nonresidue(n, p)
+    modmath.require_nonresidue(n, p)
     data = unit_class_data(p)
     lhs = 2 * data.ratio_2hu_t % p
 
@@ -356,20 +348,3 @@ def verify_aac1952(p, n: int) -> CongruenceReport:
         total += term if k in squares else -term
     rhs = -modmath.mod_inverse(n, p) * total % p
     return _report(Statement.AAC1952, p, {"n": n}, lhs, rhs)
-
-
-def aac_conjecture_scan(p_max: int) -> list[tuple[int, int]]:
-    """(p, u mod p) for every prime p = 1 mod 4 up to p_max.
-
-    A zero entry would witness p | u, refuting the divisibility
-    conjecture at p; none is known (checked far beyond desk scale).
-    """
-    if p_max < 5:
-        raise OutOfRange(f"p_max = {p_max} must be >= 5")
-    out = []
-    for p in modmath.primes_in(5, p_max):
-        if p % 4 != 1:
-            continue
-        unit = quadfield.fundamental_unit(p)
-        out.append((p, unit.u % p))
-    return out

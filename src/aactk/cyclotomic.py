@@ -16,7 +16,6 @@ fixes zeta = exp(2*pi*i/p) (making tau the positive square root).
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import mpmath
@@ -25,7 +24,6 @@ from . import modmath, quadfield
 from .errors import (
     DivisibilityBug,
     ModulusMismatch,
-    NotNonResidue,
     OutOfRange,
     ToleranceExceeded,
     WrongResidueClass,
@@ -214,13 +212,6 @@ def _poly_pow(base: list[int], e: int) -> list[int]:
     return result
 
 
-def _require_nonresidue(n: int, p: int) -> None:
-    if not 2 <= n <= p - 1:
-        raise OutOfRange(f"n = {n} outside [2, {p - 1}]")
-    if modmath.legendre(n, p) != -1:
-        raise NotNonResidue(f"{n} is a quadratic residue mod {p}")
-
-
 def f_poly(n: int, p) -> FpPoly:
     """((1 + x + ... + x^(n-1))^p - sum_k x^(kp)) / p, reduced mod p.
 
@@ -228,7 +219,7 @@ def f_poly(n: int, p) -> FpPoly:
     by p is itself a checked invariant (DivisibilityBug on failure).
     """
     p = modmath.as_prime(p)
-    _require_nonresidue(n, p)
+    modmath.require_nonresidue(n, p)
     num = _poly_pow([1] * n, p)
     for k in range(n):
         num[k * p] -= 1
@@ -245,7 +236,7 @@ def lemma7_rhs(n: int, p) -> FpPoly:
       + sum_{k=1}^{p-1} sum_{j=0}^{n-1} ((j+1)/k) x^(k+pj)   over F_p.
     """
     p = modmath.as_prime(p)
-    _require_nonresidue(n, p)
+    modmath.require_nonresidue(n, p)
     inv = modmath.inverse_table(p)
     coeffs = [0] * (n * p)
     for k in range(1, p):
@@ -265,7 +256,7 @@ def lemma6_check(n: int, j: int, p) -> bool:
     coefficient must be divisible by p.
     """
     p = modmath.as_prime(p)
-    _require_nonresidue(n, p)
+    modmath.require_nonresidue(n, p)
     if not 1 <= j <= p - 1:
         raise OutOfRange(f"j = {j} outside [1, {p - 1}]")
     gamma = CycInt.from_powers(p, {j * k % p: 1 for k in range(n)})
@@ -275,7 +266,7 @@ def lemma6_check(n: int, j: int, p) -> bool:
 
 
 def _unit_dps(p: int) -> int:
-    base = int(os.environ.get("AACTK_DPS", "50"))
+    base = quadfield._default_dps()
     return base if p <= 50 else max(base, 120)
 
 
@@ -292,7 +283,7 @@ def unit_identity_check(p, n: int, tol: float = 1e-8) -> bool:
     p = modmath.as_prime(p)
     if p % 4 != 1:
         raise WrongResidueClass(f"p = {p} is not 1 mod 4")
-    _require_nonresidue(n, p)
+    modmath.require_nonresidue(n, p)
     unit = quadfield.fundamental_unit(p)
     h = quadfield.class_number(p)
     with mpmath.workdps(_unit_dps(p)):

@@ -72,6 +72,10 @@ class NotNonResidue(PreconditionViolation):
     pass
 
 
+class TrivialResidue(OutOfRange, NotNonResidue):
+    """n = 1, which is outside [2, p-1] and a quadratic residue."""
+
+
 class BadRepresentatives(PreconditionViolation):
     pass
 

@@ -8,23 +8,24 @@ odd failures below 10^8 all fail through v1 = 0 mod D:
     1817 = 23*79,  209991 = 3*69997,  1752299 = 41*79*541.
 
 Even D are outside the conjecture's scope and are rejected by
-gaac_check; the scan iterates odd nonsquare D only.
+gaac_check; the range scan over odd nonsquare D lives in aactk.scan.
 
-The module also counts n <= x with n^2 - 1 squarefree three ways: a
-residue-marking sieve (primary, exact), per-n factorization (via
-squarefree), and a Mobius inclusion-exclusion mode that follows the
-sieve-lemma proof shape and is exact once the prime cutoff z reaches
-sqrt(x+1).
+The module also counts n with n^2 - 1 squarefree: a residue-marking
+sieve over any range [lo, hi] (exact; the density scan counts each of
+its blocks with it), and a Mobius inclusion-exclusion mode that follows
+the sieve-lemma proof shape and is exact once the prime cutoff z reaches
+sqrt(x+1).  The per-n test `squarefree` (from modmath) is kept as their
+oracle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import modmath, quadfield
 from .errors import EvenD, NotSquarefree, OutOfRange, PerfectSquare
+from .modmath import squarefree
 
 
 @dataclass(frozen=True)
@@ -74,42 +75,6 @@ def reproduce_counterexamples() -> list[GaacVerdict]:
     return [gaac_check(D) for D in KNOWN_ODD_FAILURES]
 
 
-def gaac_scan(d_min: int, d_max: int, skip=()) -> Iterator[GaacVerdict]:
-    """Verdicts for odd nonsquare D in [d_min, d_max], ascending.
-
-    D values in `skip` (e.g. already present in a checkpoint) are not
-    recomputed, which makes interrupted scans resumable.
-    """
-    skip = set(skip)
-    lo = max(3, d_min)
-    if lo % 2 == 0:
-        lo += 1
-    for D in range(lo, d_max + 1, 2):
-        if D in skip:
-            continue
-        if math.isqrt(D) ** 2 == D:
-            continue
-        yield gaac_check(D)
-
-
-def squarefree(n: int) -> bool:
-    """True when no prime square divides n (so mu(n) != 0)."""
-    if n < 1:
-        raise OutOfRange(f"n = {n} must be >= 1")
-    if n % 4 == 0:
-        return False
-    while n % 2 == 0:
-        n //= 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            n //= d
-            if n % d == 0:
-                return False
-        d += 2
-    return True
-
-
 @dataclass(frozen=True)
 class SieveCount:
     """Exact count of n <= x with n^2 - 1 squarefree, plus the partial density constant."""
@@ -128,26 +93,40 @@ def partial_density_constant(z: int) -> float:
     return out
 
 
-def count_squarefree_n2m1(x: int, z: int = 1000) -> SieveCount:
-    """Count n in [2, x] with n^2 - 1 squarefree, by residue marking.
+def count_squarefree_n2m1_in(lo: int, hi: int) -> int:
+    """Count n in [lo, hi] with n^2 - 1 squarefree, by residue marking.
 
     p^2 | n^2 - 1 forces n = +-1 mod p^2 for odd p (p^2 cannot split
     across n-1 and n+1), and 4 | n^2 - 1 exactly for odd n; marking those
-    classes for every odd prime with p^2 <= x + 1 gives the exact count.
-    n = 1 is excluded: 0 is not squarefree under any convention.
+    classes for every odd prime with p^2 <= hi + 1 gives the exact count.
+    Needs lo >= 2: at n = 1, n^2 - 1 = 0 is not squarefree under any
+    convention.
     """
-    if x < 2:
-        raise OutOfRange(f"x = {x} must be >= 2")
-    bad = bytearray(x + 1)
-    bad[1::2] = b"\x01" * ((x + 1) // 2)
-    for p in modmath.primes_in(3, math.isqrt(x + 1)):
+    if lo < 2:
+        raise OutOfRange(f"lo = {lo} must be >= 2")
+    size = hi - lo + 1
+    if size <= 0:
+        return 0
+    bad = bytearray(size)  # bad[i] marks n = lo + i
+    odd = (lo | 1) - lo
+    bad[odd::2] = b"\x01" * len(range(odd, size, 2))
+    for p in modmath.primes_in(3, math.isqrt(hi + 1)):
         p2 = p * p
         for r in (1, p2 - 1):
-            for n in range(r, x + 1, p2):
-                bad[n] = 1
-    count = sum(1 for n in range(2, x + 1) if not bad[n])
+            first = (r - lo) % p2
+            bad[first::p2] = b"\x01" * len(range(first, size, p2))
+    return bad.count(0)
+
+
+def count_squarefree_n2m1(x: int, z: int = 1000) -> SieveCount:
+    """Count n in [2, x] with n^2 - 1 squarefree (see count_squarefree_n2m1_in)."""
+    if x < 2:
+        raise OutOfRange(f"x = {x} must be >= 2")
     return SieveCount(
-        x=x, count=count, partial_constant=partial_density_constant(z), z=z
+        x=x,
+        count=count_squarefree_n2m1_in(2, x),
+        partial_constant=partial_density_constant(z),
+        z=z,
     )
 
 

@@ -1,7 +1,9 @@
 """Exact modular arithmetic over an odd prime p.
 
-Quadratic-residue machinery, Fermat quotients, harmonic numbers mod p,
-and the floor-function identities used by the congruence verifiers.
+Quadratic-residue machinery (with the one non-residue guard the
+verifiers share), Fermat quotients, harmonic numbers mod p, the
+squarefree test, and the floor-function identities used by the
+congruence verifiers.
 
 Conventions:
   * residues are always normalized to [0, m-1]; the reduced residue <x>
@@ -27,8 +29,10 @@ from .errors import (
     DivisibleBase,
     MismatchBug,
     NotInvertible,
+    NotNonResidue,
     NotPrime,
     OutOfRange,
+    TrivialResidue,
     WrongResidueClass,
 )
 
@@ -129,6 +133,38 @@ def legendre(a: int, p) -> int:
     return 1 if r == 1 else -1
 
 
+def require_nonresidue(n: int, p: int) -> None:
+    """Raise unless n is a quadratic non-residue mod p in [2, p-1].
+
+    OutOfRange for n outside [2, p-1], NotNonResidue for a residue; n = 1
+    is both, so it raises TrivialResidue, an instance of each.
+    """
+    if n == 1:
+        raise TrivialResidue(f"n = 1 is outside [2, {p - 1}] and a quadratic residue")
+    if not 2 <= n <= p - 1:
+        raise OutOfRange(f"n = {n} outside [2, {p - 1}]")
+    if legendre(n, p) != -1:
+        raise NotNonResidue(f"{n} is a quadratic residue mod {p}")
+
+
+def squarefree(n: int) -> bool:
+    """True when no prime square divides n (so mu(n) != 0)."""
+    if n < 1:
+        raise OutOfRange(f"n = {n} must be >= 1")
+    if n % 4 == 0:
+        return False
+    while n % 2 == 0:
+        n //= 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return False
+        d += 2
+    return True
+
+
 def kronecker(d: int, n: int) -> int:
     """Kronecker symbol (d/n), the full multiplicative extension of Legendre."""
     if n == 0:
@@ -203,14 +239,6 @@ def inverse_table(p: int) -> tuple[int, ...]:
     return tuple(inv)
 
 
-@dataclass(frozen=True)
-class HarmonicTable:
-    """Prefix table of harmonic numbers H_k mod p, k = 0 .. p-1."""
-
-    p: PrimeModulus
-    h_mod: tuple[int, ...]
-
-
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _harmonic_values(p: int) -> tuple[int, ...]:
     inv = inverse_table(p)
@@ -218,11 +246,6 @@ def _harmonic_values(p: int) -> tuple[int, ...]:
     for k in range(1, p):
         out[k] = (out[k - 1] + inv[k]) % p
     return tuple(out)
-
-
-def harmonic_table(p) -> HarmonicTable:
-    p = as_prime(p)
-    return HarmonicTable(p=PrimeModulus.of(p), h_mod=_harmonic_values(p))
 
 
 def harmonic_mod(k: int, p) -> int:

@@ -221,26 +221,15 @@ def regulator(unit: FundamentalUnit | PellSolution) -> float:
     raise TypeError(f"unsupported unit type {type(unit)!r}")
 
 
-def _is_squarefree_small(n: int) -> bool:
-    if n % 4 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 2
-    return True
-
-
 def is_fundamental_discriminant(d: int) -> bool:
     """True for positive fundamental discriminants of real quadratic fields."""
     if d <= 1:
         return False
     if d % 4 == 1:
-        return _is_squarefree_small(d)
+        return modmath.squarefree(d)
     if d % 4 == 0:
         m = d // 4
-        return m % 4 in (2, 3) and _is_squarefree_small(m)
+        return m % 4 in (2, 3) and modmath.squarefree(m)
     return False
 
 

@@ -1,0 +1,107 @@
+"""The range scans behind `aactk scan`: per kind one item source, worker
+and record key, and one loop for all of them.
+
+  kind        items in [lo, hi]                 record of one item
+  gaac        odd nonsquare D >= 3              gaac.gaac_check(D)
+  aac         primes p = 1 mod 4, p >= 5        u mod p of the fundamental unit
+  eisenstein  primes p = 5 mod 8                congruences.verify_eisenstein(p)
+  density     blocks [n_lo, n_hi] from n >= 2   count of n with n^2 - 1 squarefree
+
+Workers call the library through its module attributes, so a wrapper
+installed on, say, `gaac.gaac_check` sees every scanned item.
+"""
+
+from __future__ import annotations
+
+import math
+from concurrent.futures import ProcessPoolExecutor
+from typing import Iterator
+
+from . import congruences, gaac, modmath, quadfield
+from .errors import OutOfRange, PreconditionViolation
+
+_PARALLEL_THRESHOLD = 64  # below this many items, process pools cost more than they save
+
+
+# Workers are module level so process pools can pickle them.
+
+
+def _gaac_record(D: int) -> dict:
+    return gaac.gaac_check(D).to_record()
+
+
+def _aac_record(p: int) -> dict:
+    u_mod = quadfield.fundamental_unit(p).u % p
+    return {"p": p, "u_mod_p": u_mod, "holds": u_mod != 0}
+
+
+def _eisenstein_record(p: int) -> dict:
+    return congruences.verify_eisenstein(p).to_record()
+
+
+def _density_record(block: tuple[int, int]) -> dict:
+    lo, hi = block
+    return {"n_lo": lo, "n_hi": hi, "count": gaac.count_squarefree_n2m1_in(lo, hi)}
+
+
+# kind: (worker, the record fields that name its item, every field of a record)
+KINDS = {
+    "gaac": (_gaac_record, ("D",), {"D", "v1_mod_D", "h4D", "holds"}),
+    "aac": (_aac_record, ("p",), {"p", "u_mod_p", "holds"}),
+    "eisenstein": (_eisenstein_record, ("p",), {"stmt", "p", "params", "lhs", "rhs", "holds", "notes"}),
+    "density": (_density_record, ("n_lo", "n_hi"), {"n_lo", "n_hi", "count"}),
+}
+
+
+def plan(kind: str, lo: int, hi: int, block: int = 1000) -> list:
+    """The items of a scan over [lo, hi], ascending; `block` sizes density blocks."""
+    if kind == "gaac":
+        return [D for D in range(max(3, lo) | 1, hi + 1, 2) if math.isqrt(D) ** 2 != D]
+    if kind in ("aac", "eisenstein"):
+        modulus, residue = (4, 1) if kind == "aac" else (8, 5)
+        return [p for p in modmath.primes_in(max(5, lo), hi) if p % modulus == residue]
+    if kind == "density":
+        if block < 1:
+            raise OutOfRange(f"block = {block} must be >= 1")
+        return [(n, min(n + block - 1, hi)) for n in range(max(2, lo), hi + 1, block)]
+    raise PreconditionViolation(f"unknown scan kind {kind!r}")
+
+
+def resumed(kind: str, lo: int, hi: int, items: list, records: list[dict]) -> dict:
+    """The records of an earlier run that answer planned items, by item.
+
+    Records wholly outside [lo, hi] are left out.  A record of another
+    kind, or one that reaches into [lo, hi] without answering a planned
+    item (a density block of another size, say), raises
+    PreconditionViolation: resuming from it would change a total.
+    """
+    _, key, fields = KINDS[kind]
+    planned = set(items)
+    done = {}
+    for record in records:
+        if set(record) != fields:
+            raise PreconditionViolation(f"checkpoint record {record} is not a {kind} record")
+        span = [record[name] for name in key]
+        if span[-1] < lo or span[0] > hi:
+            continue
+        item = tuple(span) if len(span) > 1 else span[0]
+        if item not in planned:
+            raise PreconditionViolation(
+                f"checkpoint record {record} is not an item of this {kind} scan"
+            )
+        done[item] = record
+    return done
+
+
+def run(kind: str, items: list, jobs: int = 1) -> Iterator[dict]:
+    """The records of `items`, in their order, each yielded once computed.
+
+    With jobs > 1 and enough items a pool of `jobs` processes computes
+    them; the output is the same as with jobs = 1.
+    """
+    worker = KINDS[kind][0]
+    if jobs > 1 and len(items) >= _PARALLEL_THRESHOLD:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            yield from pool.map(worker, items, chunksize=max(1, len(items) // (jobs * 8)))
+    else:
+        yield from map(worker, items)

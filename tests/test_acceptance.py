@@ -10,7 +10,7 @@ import time
 
 from aactk import congruences as cg
 from aactk import cyclotomic as cyc
-from aactk import gaac, modmath, padiclog, quadfield
+from aactk import gaac, modmath, padiclog, quadfield, scan
 
 
 def _report(name: str, ok: bool, detail: str = ""):
@@ -43,12 +43,12 @@ def test_01_aac_congruence_to_2000():
 
 def test_02_aac_conjecture_scan_to_1e4():
     t0 = time.monotonic()
-    scan = cg.aac_conjecture_scan(10_000)
-    zeros = [(p, u) for p, u in scan if u == 0]
+    records = list(scan.run("aac", scan.plan("aac", 3, 10_000)))
+    zeros = [r["p"] for r in records if r["u_mod_p"] == 0]
     _report(
         "02 aac-conjecture-scan p<=1e4",
-        not zeros,
-        f"{len(scan)} primes, {time.monotonic() - t0:.1f}s",
+        not zeros and len(records) == len(primes_1mod4(5, 10_000)),
+        f"{len(records)} primes, {time.monotonic() - t0:.1f}s",
     )
 
 
@@ -223,7 +223,7 @@ def test_13_gaac_counterexamples_and_scan():
     t0 = time.monotonic()
     verdicts = gaac.reproduce_counterexamples()
     ok = all(v.v1_mod_D == 0 and not v.holds for v in verdicts)
-    failures = [v.D for v in gaac.gaac_scan(3, 2000) if not v.holds]
+    failures = [r["D"] for r in scan.run("gaac", scan.plan("gaac", 3, 2000)) if not r["holds"]]
     ok = ok and failures == [1817]
     _report(
         "13 gaac counterexamples {1817,209991,1752299} + scan [3,2000]",

@@ -1,10 +1,12 @@
 import json
+import math
 import subprocess
 import sys
 
 import pytest
 
 from aactk import cli
+from aactk.errors import DivisibilityBug
 
 
 def run(capsys, *argv):
@@ -149,9 +151,67 @@ class TestScanCommand:
         assert out1 == out2
 
     def test_parallel_matches_serial(self, capsys):
-        _, serial, _ = run(capsys, "scan", "gaac", "--max", "800", "--jobs", "1")
-        _, parallel, _ = run(capsys, "scan", "gaac", "--max", "800", "--jobs", "3")
-        assert serial == parallel
+        # each scan has at least 64 items, so --jobs 3 really uses a pool
+        for argv in (
+            ["gaac", "--max", "800"],
+            ["aac", "--max", "2000"],
+            ["eisenstein", "--max", "3000"],
+            ["density", "--x", "10000", "--block", "100"],
+        ):
+            _, serial, _ = run(capsys, "scan", *argv, "--jobs", "1")
+            _, parallel, _ = run(capsys, "scan", *argv, "--jobs", "3")
+            assert len(serial.splitlines()) >= 64, argv
+            assert serial == parallel, argv
+
+    @pytest.mark.parametrize("cut", ["newline", "mid-line"])
+    def test_torn_tail_truncated_in_place(self, capsys, tmp_path, cut):
+        fresh = tmp_path / "fresh.jsonl"
+        run(capsys, "scan", "aac", "--max", "400", "--checkpoint", str(fresh), "--jobs", "1")
+        data = fresh.read_bytes()
+        end = data.index(b"\n", len(data) // 2)  # a line's newline
+        torn_bytes = data[:end] if cut == "newline" else data[: end - 5]
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(torn_bytes)
+        cli.load_checkpoint(str(torn), tolerate_torn_tail=True)
+        repaired = torn.read_bytes()
+        assert torn_bytes.startswith(repaired) and repaired.endswith(b"\n")
+        assert len(repaired) < len(torn_bytes)
+        code, _, _ = run(
+            capsys, "scan", "aac", "--max", "400", "--checkpoint", str(torn), "--jobs", "1"
+        )
+        assert code == 0
+        assert torn.read_bytes() == data
+
+    def test_resume_refuses_a_record_of_another_kind(self, capsys, tmp_path):
+        ck = tmp_path / "gaac.jsonl"
+        run(capsys, "scan", "gaac", "--max", "200", "--checkpoint", str(ck), "--jobs", "1")
+        before = ck.read_bytes()
+        code, _, err = run(
+            capsys, "scan", "aac", "--max", "200", "--checkpoint", str(ck), "--jobs", "1"
+        )
+        assert code == 2 and "not a aac record" in err
+        assert ck.read_bytes() == before
+
+    def test_resume_refuses_another_block_size(self, capsys, tmp_path):
+        ck = tmp_path / "density.jsonl"
+        base = ["scan", "density", "--x", "3000", "--checkpoint", str(ck), "--jobs", "1"]
+        code, out, _ = run(capsys, *base, "--block", "1000")
+        assert code == 0 and "count=964 " in out
+        before = ck.read_bytes()
+        code, _, err = run(capsys, *base, "--block", "700")
+        assert code == 2 and "not an item of this density scan" in err
+        assert ck.read_bytes() == before
+
+    def test_narrower_resume_ignores_records_outside_the_range(self, capsys, tmp_path):
+        ck = tmp_path / "gaac.jsonl"
+        run(capsys, "scan", "gaac", "--max", "2000", "--checkpoint", str(ck), "--jobs", "1")
+        before = ck.read_bytes()
+        code, out, _ = run(
+            capsys, "scan", "gaac", "--max", "100", "--checkpoint", str(ck), "--jobs", "1"
+        )
+        counted = sum(1 for D in range(3, 101, 2) if math.isqrt(D) ** 2 != D)
+        assert code == 0 and f"counted={counted} held={counted} failed=0 " in out
+        assert ck.read_bytes() == before
 
     def test_needs_bound(self, capsys):
         code, _, err = run(capsys, "scan", "gaac")
@@ -260,6 +320,14 @@ class TestPrecisionOverride:
         assert quadfield._default_dps() == 80
         monkeypatch.delenv("AACTK_DPS")
         assert quadfield._default_dps() == 50
+
+    def test_internal_failure_exit_4(self, capsys, monkeypatch):
+        def broken(p):
+            raise DivisibilityBug("(A + B) / p is not an integer")
+
+        monkeypatch.setattr(cli.congruences, "verify_aac", broken)
+        code, _, err = run(capsys, "verify", "aac", "--p", "13")
+        assert code == 4 and "DivisibilityBug" in err
 
     def test_big_decimal_inputs_accepted(self, capsys):
         # arbitrary-size decimal input must parse; precondition failure is fine

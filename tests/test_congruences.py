@@ -3,7 +3,7 @@ import random
 import pytest
 
 from aactk import congruences as cg
-from aactk import modmath
+from aactk import modmath, scan
 from aactk.congruences import Statement
 from aactk.errors import (
     BadFactorization,
@@ -258,14 +258,11 @@ class TestClassNumberRecovery:
 
 class TestConjectureScan:
     def test_scan_to_2000(self):
-        scan = cg.aac_conjecture_scan(2000)
-        assert scan[0] == (5, 1)
-        assert (13, 1) in scan
-        assert all(u != 0 for _, u in scan)
-        assert len(scan) == sum(
-            1 for p in modmath.primes_in(5, 2000) if p % 4 == 1
-        )
-
-    def test_bad_bound(self):
-        with pytest.raises(OutOfRange):
-            cg.aac_conjecture_scan(3)
+        records = list(scan.run("aac", scan.plan("aac", 3, 2000)))
+        pairs = [(r["p"], r["u_mod_p"]) for r in records]
+        assert pairs[0] == (5, 1)
+        assert (13, 1) in pairs
+        assert all(u != 0 and r["holds"] for (_, u), r in zip(pairs, records))
+        assert [p for p, _ in pairs] == [
+            p for p in modmath.primes_in(5, 2000) if p % 4 == 1
+        ]

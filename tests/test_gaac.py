@@ -1,8 +1,9 @@
 import math
+import random
 
 import pytest
 
-from aactk import gaac, quadfield
+from aactk import gaac, quadfield, scan
 from aactk.errors import EvenD, NotSquarefree, OutOfRange, PerfectSquare
 
 
@@ -54,25 +55,32 @@ class TestCounterexamples:
 
 
 class TestScan:
+    """The gaac kind of the scan engine."""
+
+    @staticmethod
+    def verdicts(lo, hi, skip=()):
+        items = [D for D in scan.plan("gaac", lo, hi) if D not in set(skip)]
+        return list(scan.run("gaac", items))
+
     def test_range_3_99_clean(self):
-        verdicts = list(gaac.gaac_scan(3, 99))
-        assert all(v.holds for v in verdicts)
-        assert [v.D for v in verdicts] == [
+        records = self.verdicts(3, 99)
+        assert all(r["holds"] for r in records)
+        assert [r["D"] for r in records] == [
             D for D in range(3, 100, 2) if math.isqrt(D) ** 2 != D
         ]
 
     def test_empty_range(self):
-        assert list(gaac.gaac_scan(10, 9)) == []
+        assert self.verdicts(10, 9) == []
 
     def test_skip_supports_resume(self):
-        full = {v.D: v for v in gaac.gaac_scan(3, 60)}
-        part = list(gaac.gaac_scan(3, 60, skip=[d for d in full if d < 30]))
-        assert [v.D for v in part] == [d for d in full if d >= 30]
+        full = {r["D"]: r for r in self.verdicts(3, 60)}
+        part = self.verdicts(3, 60, skip=[d for d in full if d < 30])
+        assert [r["D"] for r in part] == [d for d in full if d >= 30]
 
     def test_h4d_stays_below_4d(self):
         # monitored growth bound, not a tight assertion
-        for v in gaac.gaac_scan(3, 500):
-            assert 1 <= v.h4D < 4 * v.D, v
+        for r in self.verdicts(3, 500):
+            assert 1 <= r["h4D"] < 4 * r["D"], r
 
 
 class TestSquarefree:
@@ -109,6 +117,25 @@ class TestDensityCount:
                 if gaac.squarefree(n - 1) and gaac.squarefree(n + 1):
                     direct += 1
             assert gaac.count_squarefree_n2m1(x).count == direct, x
+
+    def test_range_sieve_matches_per_n_on_random_blocks(self):
+        def direct(lo, hi):
+            return sum(
+                1
+                for n in range(lo, hi + 1)
+                if n % 2 == 0 and gaac.squarefree(n - 1) and gaac.squarefree(n + 1)
+            )
+
+        rng = random.Random(20230406)
+        blocks = [(2, 2), (2, 3), (3, 3), (3, 4), (2, 1), (50, 49)]
+        blocks += [(lo, lo + rng.randrange(1, 40)) for lo in (2, 3)]
+        for _ in range(60):
+            lo = rng.randrange(2, 50_000)
+            blocks.append((lo, lo + rng.randrange(0, 1500)))
+        for lo, hi in blocks:
+            assert gaac.count_squarefree_n2m1_in(lo, hi) == direct(lo, hi), (lo, hi)
+        with pytest.raises(OutOfRange):
+            gaac.count_squarefree_n2m1_in(1, 10)
 
     def test_inclusion_exclusion_exact_at_full_cutoff(self):
         for x in (10, 50, 200, 1000):

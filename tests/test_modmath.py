@@ -216,10 +216,9 @@ class TestHarmonic:
         with pytest.raises(OutOfRange):
             modmath.harmonic_mod(-1, 13)
 
-    def test_table_object(self):
-        table = modmath.harmonic_table(13)
-        assert table.h_mod[0] == 0 and table.h_mod[12] == 0
-        assert len(table.h_mod) == 13
+    def test_endpoints_vanish(self):
+        # H_0 = 0 by convention; H_(p-1) = 0 because inversion permutes [1, p-1]
+        assert modmath.harmonic_mod(0, 13) == 0 and modmath.harmonic_mod(12, 13) == 0
 
 
 class TestResidueSets:

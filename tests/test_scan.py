@@ -1,0 +1,35 @@
+import pytest
+
+from aactk import scan
+from aactk.errors import OutOfRange, PreconditionViolation
+
+
+def test_declared_fields_match_the_workers():
+    for kind, (worker, _, fields) in scan.KINDS.items():
+        (item,) = scan.plan(kind, 13, 13 if kind != "density" else 20)
+        assert set(worker(item)) == fields, kind
+
+
+def test_density_blocks_tile_the_range():
+    assert scan.plan("density", 0, 10, 4) == [(2, 5), (6, 9), (10, 10)]
+    with pytest.raises(OutOfRange):
+        scan.plan("density", 2, 10, 0)
+
+
+def test_unknown_kind():
+    with pytest.raises(PreconditionViolation):
+        scan.plan("nope", 3, 10)
+
+
+def test_resumed_keeps_planned_items_and_skips_outside_records():
+    items = scan.plan("density", 2, 3001, 1000)
+    records = list(scan.run("density", scan.plan("density", 2, 5001, 1000)))
+    done = scan.resumed("density", 2, 3001, items, records)
+    assert sorted(done) == items
+
+
+def test_resumed_refuses_a_block_that_straddles_the_range():
+    items = scan.plan("density", 2, 3000, 1000)
+    straddling = {"n_lo": 2900, "n_hi": 3100, "count": 0}
+    with pytest.raises(PreconditionViolation):
+        scan.resumed("density", 2, 3000, items, [straddling])
