@@ -20,8 +20,9 @@ of another kind or density blocks of another size.
 Exit codes: 0 all statements hold, 1 some congruence failed (a finding,
 not an error: scans keep going past failures), 2 usage or precondition
 violation, 3 checkpoint corruption or I/O failure, 4 internal failure
-(ComputationBug, PrecisionLoss or ToleranceExceeded: the implementation
-or its precision is at fault, not the input).
+(ComputationBug, PrecisionLoss, ToleranceExceeded or any exception from
+outside aactk's hierarchy: the implementation or its precision is at
+fault, not the input).
 
 The AACTK_DPS environment variable overrides the default working
 precision (decimal digits) of the floating-point checks.
@@ -38,7 +39,7 @@ import time
 import zlib
 
 from . import congruences, gaac, modmath, quadfield, scan
-from .errors import CheckpointCorrupt, Error, PreconditionViolation
+from .errors import CheckpointCorrupt, PreconditionViolation
 
 EXIT_OK = 0
 EXIT_FAILED_CONGRUENCE = 1
@@ -137,7 +138,10 @@ def _cell(value) -> str:
 
 
 def _parse_int_list(text: str) -> list[int]:
-    return [int(part) for part in text.replace(",", " ").split()]
+    try:
+        return [int(part) for part in text.replace(",", " ").split()]
+    except ValueError:
+        raise PreconditionViolation(f"not a list of integers: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +369,6 @@ def main(argv=None) -> int:
     except PreconditionViolation as exc:
         print(f"error: precondition failed: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except Error as exc:
-        print(f"error: internal failure: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return EXIT_BUG
     except BrokenPipeError:
         # Downstream pager closed early; not an error worth reporting.
         devnull = os.open(os.devnull, os.O_WRONLY)
@@ -376,6 +377,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: I/O failure: {exc}", file=sys.stderr)
         return EXIT_CORRUPT
+    except Exception as exc:
+        # Any other aactk Error or a non-aactk exception: a bug, not bad input.
+        print(f"error: internal failure: {exc.__class__.__name__}: {exc}", file=sys.stderr)
+        return EXIT_BUG
 
 
 if __name__ == "__main__":

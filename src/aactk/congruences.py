@@ -117,16 +117,13 @@ def unit_class_data(p: int) -> UnitClassData:
     )
 
 
-def _require_1mod4(p) -> int:
-    p = modmath.as_prime(p)
-    if p % 4 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 mod 4")
-    return p
-
-
 def verify_aac(p) -> CongruenceReport:
-    """2hu/t = (A+B)/p mod p, with (A+B)/p an exact integer division."""
-    p = _require_1mod4(p)
+    """2hu/t = (A+B)/p mod p, from A and B mod p^2.
+
+    A + B mod p^2 fixes (A+B)/p mod p; a sum not divisible by p raises
+    DivisibilityBug.
+    """
+    p = modmath.require_1mod4(p)
     data = unit_class_data(p)
     lhs = data.ratio_2hu_t
 
@@ -142,9 +139,11 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     """The lifted form: (A*+B*)/p = 2hu/t + A* sum floor(a/p)/a + B* sum floor(b/p)/b.
 
     a_set and b_set are positive integers whose reductions tile the
-    residue and non-residue sets exactly once each.
+    residue and non-residue sets exactly once each.  A* and B* are their
+    products mod p^2, which fix (A*+B*)/p mod p; a sum not divisible by p
+    raises DivisibilityBug.
     """
-    p = _require_1mod4(p)
+    p = modmath.require_1mod4(p)
     a_set = [int(a) for a in a_set]
     b_set = [int(b) for b in b_set]
     rs = modmath.residue_sets(p)
@@ -155,12 +154,8 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     if tuple(sorted(b % p for b in b_set)) != rs.nqr:
         raise BadRepresentatives("b_set does not reduce to the non-residue set")
 
-    a_star = 1
-    for a in a_set:
-        a_star *= a
-    b_star = 1
-    for b in b_set:
-        b_star *= b
+    a_star = modmath.prod_mod(a_set, p * p)
+    b_star = modmath.prod_mod(b_set, p * p)
     total = a_star + b_star
     if total % p != 0:
         raise DivisibilityBug(f"p = {p} does not divide A* + B*")
@@ -169,7 +164,7 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     data = unit_class_data(p)
     sum_a = sum(a // p * modmath.mod_inverse(a % p, p) for a in a_set) % p
     sum_b = sum(b // p * modmath.mod_inverse(b % p, p) for b in b_set) % p
-    rhs = (data.ratio_2hu_t + a_star % p * sum_a + b_star % p * sum_b) % p
+    rhs = (data.ratio_2hu_t + a_star * sum_a + b_star * sum_b) % p
     return _report(
         Statement.THM21,
         p,
@@ -185,7 +180,7 @@ def verify_thm51(p, m: int) -> tuple[CongruenceReport, CongruenceReport]:
       F(m) = +4hu/t + 2 sum_{r in R} floor(mr/p)/(mr)
       F(m) = -4hu/t + 2 sum_{n in N} floor(mn/p)/(mn)
     """
-    p = _require_1mod4(p)
+    p = modmath.require_1mod4(p)
     modmath.require_nonresidue(m, p)
     lhs = modmath.fermat_quotient_mod(m, p)
 
@@ -213,7 +208,7 @@ def verify_cor53(p, m: int) -> CongruenceReport:
     The doubled right-hand side is evaluated too; whenever it differs it
     is flagged in the notes as 'printed-form-differs'.
     """
-    p = _require_1mod4(p)
+    p = modmath.require_1mod4(p)
     modmath.require_nonresidue(m, p)
     lhs = m * modmath.fermat_quotient_mod(m, p) % p
 
@@ -231,7 +226,7 @@ def verify_thm54(p, M: int) -> CongruenceReport:
     M is any positive lift of a non-residue m; F(M) is evaluated mod p^2
     so arbitrary lifts stay cheap.
     """
-    p = _require_1mod4(p)
+    p = modmath.require_1mod4(p)
     if M <= 0:
         raise OutOfRange(f"M = {M} must be positive")
     m = M % p
@@ -306,7 +301,7 @@ def verify_thm56(p, r: int, abar: int, bbar: int) -> CongruenceReport:
                  + bbar * sum_{j<a} H_floor(pj/a)
                  + abar * sum_{k<b} H_floor(pk/b)   (mod p)
     """
-    p = _require_1mod4(p)
+    p = modmath.require_1mod4(p)
     if modmath.legendre(r, p) != 1:
         raise HypothesisFail(f"r = {r} is not a quadratic residue mod {p}")
     if abar <= 0 or bbar <= 0:
@@ -335,7 +330,7 @@ def verify_thm56(p, r: int, abar: int, bbar: int) -> CongruenceReport:
 
 def verify_aac1952(p, n: int) -> CongruenceReport:
     """4hu/t = -(1/n) sum_{k=1}^{p-1} floor(nk/p) (k/p) / k mod p."""
-    p = _require_1mod4(p)
+    p = modmath.require_1mod4(p)
     modmath.require_nonresidue(n, p)
     data = unit_class_data(p)
     lhs = 2 * data.ratio_2hu_t % p

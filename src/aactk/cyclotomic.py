@@ -26,7 +26,6 @@ from .errors import (
     ModulusMismatch,
     OutOfRange,
     ToleranceExceeded,
-    WrongResidueClass,
 )
 
 
@@ -151,9 +150,7 @@ def twisted_gauss_element(n: int, p) -> GroupRingElt:
 
 def gauss_sum(p) -> CycInt:
     """tau = sum_k (k/p) zeta^k, exactly; tau^2 = p for p = 1 mod 4."""
-    p = modmath.as_prime(p)
-    if p % 4 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 mod 4")
+    p = modmath.require_1mod4(p)
     return CycInt.from_powers(p, {k: modmath.legendre(k, p) for k in range(1, p)})
 
 
@@ -280,9 +277,7 @@ def unit_identity_check(p, n: int, tol: float = 1e-8) -> bool:
     Returns True when both hold within tol; raises ToleranceExceeded
     otherwise.
     """
-    p = modmath.as_prime(p)
-    if p % 4 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 mod 4")
+    p = modmath.require_1mod4(p)
     modmath.require_nonresidue(n, p)
     unit = quadfield.fundamental_unit(p)
     h = quadfield.class_number(p)

@@ -10,9 +10,9 @@ Conventions:
     of an integer x coprime to p lies in [1, p-1];
   * R and N are the canonical sets of quadratic residues / non-residues
     in [1, p-1], each of size (p-1)/2;
-  * A and B are the exact integer products over R and N.  They carry
-    roughly p*log(p) bits, so exact products are only built for
-    p <= EXACT_PRODUCT_LIMIT; beyond that use residue_products_mod.
+  * A and B are the products over R and N reduced mod p^2 (prod_mod).
+    Every statement reads them only through A + B mod p^2, and the exact
+    products would carry roughly p*log(p) bits.
 
 All functions accepting a prime take either a plain int or a
 PrimeModulus; ints are validated once through a cached primality check.
@@ -40,8 +40,6 @@ from .errors import (
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 _MR_EXTRA_ROUNDS = 24
-
-EXACT_PRODUCT_LIMIT = 10_000
 
 _TABLE_CACHE_SIZE = 32
 
@@ -147,6 +145,14 @@ def require_nonresidue(n: int, p: int) -> None:
         raise NotNonResidue(f"{n} is a quadratic residue mod {p}")
 
 
+def require_1mod4(p) -> int:
+    """Validate p as an odd prime = 1 mod 4 and return it as an int."""
+    p = as_prime(p)
+    if p % 4 != 1:
+        raise WrongResidueClass(f"p = {p} is not 1 mod 4")
+    return p
+
+
 def squarefree(n: int) -> bool:
     """True when no prime square divides n (so mu(n) != 0)."""
     if n < 1:
@@ -200,6 +206,14 @@ def mod_inverse(a: int, m: int) -> int:
         return pow(a, -1, m)
     except ValueError:
         raise NotInvertible(f"{a} is not invertible mod {m}") from None
+
+
+def prod_mod(values, modulus: int) -> int:
+    """The product of the integers in values, reduced to [0, modulus-1]."""
+    acc = 1 % modulus
+    for v in values:
+        acc = acc * v % modulus
+    return acc
 
 
 def fermat_quotient(a: int, p) -> tuple[int, int]:
@@ -258,19 +272,19 @@ def harmonic_mod(k: int, p) -> int:
 
 @dataclass(frozen=True)
 class ResidueSets:
-    """The canonical residue/non-residue sets of p and their products.
+    """The canonical residue/non-residue sets of p and their products mod p^2.
 
-    qr and nqr partition [1, p-1]; A = prod(qr) and B = prod(nqr) are
-    exact integers satisfying A = -1 and B = 1 mod p when p = 1 mod 4.
-    For p above EXACT_PRODUCT_LIMIT, A and B are None (use
-    residue_products_mod instead).
+    qr and nqr partition [1, p-1]; A = prod(qr) mod p^2 and
+    B = prod(nqr) mod p^2, which satisfy A = -1 and B = 1 mod p when
+    p = 1 mod 4.  A + B is divisible by p, and (A + B)/p mod p equals the
+    same quotient of the exact products.
     """
 
     p: PrimeModulus
     qr: tuple[int, ...]
     nqr: tuple[int, ...]
-    A: int | None
-    B: int | None
+    A: int
+    B: int
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
@@ -279,39 +293,20 @@ def _qr_set(p: int) -> frozenset[int]:
 
 
 def residue_sets(p) -> ResidueSets:
-    """Quadratic residue and non-residue sets with exact products A, B."""
-    p = as_prime(p)
-    if p % 4 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 mod 4")
+    """Quadratic residue and non-residue sets with their products A, B mod p^2."""
+    p = require_1mod4(p)
     squares = _qr_set(p)
     qr = tuple(sorted(squares))
     nqr = tuple(a for a in range(1, p) if a not in squares)
-    if p <= EXACT_PRODUCT_LIMIT:
-        A: int | None = math.prod(qr)
-        B: int | None = math.prod(nqr)
-    else:
-        A = B = None
-    return ResidueSets(p=PrimeModulus.of(p), qr=qr, nqr=nqr, A=A, B=B)
-
-
-def residue_products_mod(p, modulus: int) -> tuple[int, int]:
-    """(A mod modulus, B mod modulus) without building the exact products."""
-    p = as_prime(p)
-    squares = _qr_set(p)
-    a = b = 1
-    for x in range(1, p):
-        if x in squares:
-            a = a * x % modulus
-        else:
-            b = b * x % modulus
-    return a, b
+    p2 = p * p
+    return ResidueSets(
+        p=PrimeModulus.of(p), qr=qr, nqr=nqr, A=prod_mod(qr, p2), B=prod_mod(nqr, p2)
+    )
 
 
 def legendre_harmonic_sum(p) -> int:
     """sum_{k=1}^{p-1} k^-1 (k/p) mod p; vanishes for p = 1 mod 4."""
-    p = as_prime(p)
-    if p % 4 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 mod 4")
+    p = require_1mod4(p)
     inv = inverse_table(p)
     squares = _qr_set(p)
     total = 0

@@ -165,17 +165,17 @@ def omega_from_products(values, target_sign: int, p) -> OmegaCheck:
     For target_sign = -1 the validated relation is Omega = +sum F(v); for
     target_sign = +1 it is Omega = -sum F(v) (mod p).  The sign follows
     from log(-1 + pW) = -pW and log(1 + pW) = +pW mod p^2 together with
-    log_p(v) = -p F(v).
+    log_p(v) = -p F(v).  The product is taken mod p^2, which fixes
+    Omega mod p.
     """
     p = modmath.as_prime(p)
     if target_sign not in (-1, 1):
         raise OutOfRange("target_sign must be +1 or -1")
     values = list(values)
-    prod = 1
     for v in values:
         if v % p == 0:
             raise DivisibleBase(f"value {v} shares a factor with {p}")
-        prod *= v
+    prod = modmath.prod_mod(values, p * p)
     if (prod - target_sign) % p != 0:
         raise WrongSign(
             f"product = {prod % p} mod {p}, expected {target_sign % p}"

@@ -33,7 +33,6 @@ from .errors import (
     OutOfRange,
     PerfectSquare,
     PrecisionLoss,
-    WrongResidueClass,
 )
 
 _LN2 = math.log(2)
@@ -183,9 +182,7 @@ def fundamental_unit(p) -> FundamentalUnit:
     half-integral (t, u odd) unit when one exists.  For these p the norm
     is always -1.
     """
-    p = modmath.as_prime(p)
-    if p % 4 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 mod 4")
+    p = modmath.require_1mod4(p)
     t, u, nsign = _unit_with_norm4(p)
     return FundamentalUnit(p=p, t=t, u=u, norm_sign=nsign)
 
@@ -384,9 +381,7 @@ def form_class_number(disc: int) -> int:
 @lru_cache(maxsize=None)
 def class_number(p: int) -> int:
     """Class number h of Q(sqrt(p)) for prime p = 1 mod 4 (cached)."""
-    p = modmath.as_prime(p)
-    if p % 4 != 1:
-        raise WrongResidueClass(f"p = {p} is not 1 mod 4")
+    p = modmath.require_1mod4(p)
     return class_number_dirichlet(p)
 
 

@@ -60,6 +60,18 @@ class TestVerifyCommand:
         (rec,) = parse_lines(out)
         assert rec["holds"] and rec["lhs"] == 3
 
+    def test_aac_above_1e4(self, capsys):
+        code, out, _ = run(capsys, "verify", "aac", "--p", "10009")
+        assert code == 0
+        (rec,) = parse_lines(out)
+        assert rec["holds"] and rec["lhs"] == rec["rhs"]
+
+    def test_bad_int_list_exit_2(self, capsys):
+        code, _, err = run(
+            capsys, "verify", "thm21", "--p", "5", "--a", "6,x", "--b", "2,8"
+        )
+        assert code == 2 and "PreconditionViolation" in err
+
     def test_thm56_auto_factorization(self, capsys):
         code, out, _ = run(capsys, "verify", "thm56", "--p", "13", "--r", "4")
         assert code == 0
@@ -328,6 +340,15 @@ class TestPrecisionOverride:
         monkeypatch.setattr(cli.congruences, "verify_aac", broken)
         code, _, err = run(capsys, "verify", "aac", "--p", "13")
         assert code == 4 and "DivisibilityBug" in err
+
+    def test_non_aactk_exception_exit_4(self, capsys, monkeypatch):
+        def broken(p):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli.congruences, "verify_aac", broken)
+        code, _, err = run(capsys, "verify", "aac", "--p", "13")
+        assert code == 4
+        assert err == "error: internal failure: TypeError: unsupported operand\n"
 
     def test_big_decimal_inputs_accepted(self, capsys):
         # arbitrary-size decimal input must parse; precondition failure is fine

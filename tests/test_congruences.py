@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -71,6 +72,17 @@ class TestVerifyThm21:
                 b_set = [n + p * rng.randrange(0, 12) for n in rs.nqr]
                 rep = cg.verify_thm21(p, a_set, b_set)
                 assert rep.holds, (p, a_set, b_set)
+
+    def test_seeded_lifts_above_1e4(self):
+        # A* and B* are kept mod p^2; the exact products are the oracle for lhs
+        p = 10009
+        rng = random.Random(20261018)
+        rs = modmath.residue_sets(p)
+        a_set = [r + p * rng.randrange(0, 12) for r in rs.qr]
+        b_set = [n + p * rng.randrange(0, 12) for n in rs.nqr]
+        rep = cg.verify_thm21(p, a_set, b_set)
+        assert rep.holds
+        assert rep.lhs == (math.prod(a_set) + math.prod(b_set)) // p % p
 
     def test_bad_representatives(self):
         with pytest.raises(BadRepresentatives):

@@ -65,7 +65,7 @@ class TestPrimality:
     def test_prime_modulus_accepted_everywhere(self):
         pm = modmath.PrimeModulus.of(13)
         assert modmath.legendre(2, pm) == -1
-        assert modmath.residue_sets(pm).A == 12960
+        assert modmath.residue_sets(pm).A == 12960 % 169
         assert modmath.harmonic_mod(6, pm) == 7
         assert modmath.fermat_quotient(2, pm) == (315, 3)
 
@@ -228,16 +228,19 @@ class TestResidueSets:
         assert rs.A == 4 and rs.B == 6
 
     def test_p13_products(self):
+        # the exact products are 12960 and 36960; A and B keep them mod 13^2
         rs = modmath.residue_sets(13)
-        assert rs.A == 12960 and rs.B == 36960
+        assert rs.A == 12960 % 169 and rs.B == 36960 % 169
 
     def test_product_residues_to_1000(self):
-        for p in modmath.primes_in(5, 1000):
-            if p % 4 != 1:
-                continue
+        # math.prod is the exact oracle; 10009 is the first prime = 1 mod 4 above 10^4
+        ps = [p for p in modmath.primes_in(5, 1000) if p % 4 == 1] + [10009]
+        for p in ps:
             rs = modmath.residue_sets(p)
             assert len(rs.qr) == len(rs.nqr) == (p - 1) // 2
             assert sorted(rs.qr + rs.nqr) == list(range(1, p))
+            p2 = p * p
+            assert (rs.A, rs.B) == (math.prod(rs.qr) % p2, math.prod(rs.nqr) % p2), p
             assert rs.A % p == p - 1, p
             assert rs.B % p == 1, p
 
@@ -246,16 +249,22 @@ class TestResidueSets:
             modmath.residue_sets(7)
 
     def test_exact_cap(self):
-        rs = modmath.residue_sets(10009)  # 10009 = 1 mod 4, above the cap
-        assert rs.A is None and rs.B is None
-        a_mod, b_mod = modmath.residue_products_mod(10009, 10009)
-        assert a_mod == 10008 and b_mod == 1
+        # there is no size cap: 10009 = 1 mod 4 lies above 10^4 and still gets A, B mod p^2
+        p = 10009
+        rs = modmath.residue_sets(p)
+        assert 0 <= rs.A < p * p and 0 <= rs.B < p * p
+        assert rs.A % p == p - 1 and rs.B % p == 1
 
     def test_products_mod_matches_exact(self):
+        # A and B are the exact products reduced mod p^2, so any reduction mod a
+        # divisor of p^2 agrees with the exact products reduced the same way
         for p in (5, 13, 17):
             rs = modmath.residue_sets(p)
-            for m in (p, p * p, 1000):
-                assert modmath.residue_products_mod(p, m) == (rs.A % m, rs.B % m)
+            exact_a, exact_b = math.prod(rs.qr), math.prod(rs.nqr)
+            for m in (p, p * p):
+                assert (rs.A % m, rs.B % m) == (exact_a % m, exact_b % m)
+                assert modmath.prod_mod(rs.qr, m) == exact_a % m
+                assert modmath.prod_mod(rs.nqr, m) == exact_b % m
 
 
 class TestLegendreHarmonicSum:

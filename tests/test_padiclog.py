@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -194,3 +196,14 @@ class TestOmega:
                 b_set = [n + p * ((n * shift) % 4) for n in rs.nqr]
                 assert padiclog.omega_from_products(a_set, -1, p).holds
                 assert padiclog.omega_from_products(b_set, 1, p).holds
+
+    def test_lifts_near_10p_match_exact_product(self):
+        # the product is kept mod p^2; the exact product is the oracle for Omega
+        rng = random.Random(20261018)
+        for p in (5, 13, 17, 29, 101):
+            rs = modmath.residue_sets(p)
+            for members, sign in ((rs.qr, -1), (rs.nqr, 1)):
+                values = [x + p * rng.randrange(8, 13) for x in members]
+                check = padiclog.omega_from_products(values, sign, p)
+                assert check.holds, (p, values)
+                assert check.omega == (math.prod(values) - sign) // p % p
