@@ -162,8 +162,9 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     lhs = total // p % p
 
     data = unit_class_data(p)
-    sum_a = sum(a // p * modmath.mod_inverse(a % p, p) for a in a_set) % p
-    sum_b = sum(b // p * modmath.mod_inverse(b % p, p) for b in b_set) % p
+    inv = modmath.inverse_table(p)
+    sum_a = sum(a // p * inv[a % p] for a in a_set) % p
+    sum_b = sum(b // p * inv[b % p] for b in b_set) % p
     rhs = (data.ratio_2hu_t + a_star * sum_a + b_star * sum_b) % p
     return _report(
         Statement.THM21,

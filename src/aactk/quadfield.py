@@ -10,6 +10,16 @@ class numbers by two independent routes:
     quadratic forms under the rho operator (any positive nonsquare
     discriminant, proper/SL2 equivalence).
 
+The reduced forms (a, b, c) of discriminant disc have |a| and |c| in the
+window ceil((s+1-b)/2) .. floor((s+b)/2), s = isqrt(disc), and both lie
+in it or neither does, because (sqrt(disc)-b)(sqrt(disc)+b) = 4|a||c|.
+reduced_forms therefore needs only the divisors of each (disc - b^2)/4
+that fall in the window, and reads them off a factorization from a
+smallest-prime-factor table: a module-level array built on first use and
+grown by doubling, 4 bytes per integer up to the largest disc/4 seen,
+capped at 2^22 entries (16 MiB); larger cofactors are split by trial
+division over the table's primes.
+
 Both return the number of proper form classes; for every discriminant
 whose fundamental unit has norm -1 (in particular every prime
 p = 1 mod 4) this coincides with the ideal class number of Q(sqrt(p)).
@@ -22,6 +32,7 @@ from __future__ import annotations
 
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -30,6 +41,7 @@ import mpmath
 from . import modmath
 from .errors import (
     BadDiscriminant,
+    ComputationBug,
     OutOfRange,
     PerfectSquare,
     PrecisionLoss,
@@ -328,52 +340,135 @@ def _is_reduced(a: int, b: int, disc: int) -> bool:
     return True
 
 
+# _spf[n] is the smallest prime factor of n, for 2 <= n < len(_spf).  Built
+# on first use and grown by doubling to the largest n asked for, up to
+# _SPF_CAP entries (4 bytes each: 16 MiB at the cap).
+_SPF_CAP = 1 << 22
+_spf = array("I")
+
+
+def _spf_table(limit: int) -> array:
+    """The smallest-prime-factor table, grown to cover n <= limit if the cap allows."""
+    global _spf
+    if limit < len(_spf) or len(_spf) >= _SPF_CAP:
+        return _spf
+    size = max(len(_spf), 1024)
+    while size <= limit:
+        size *= 2
+    size = min(size, _SPF_CAP)
+    spf = array("I", range(size))
+    # larger primes first, so each entry ends on its smallest prime factor
+    for p in reversed(modmath.primes_in(2, math.isqrt(size - 1))):
+        spf[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
+    _spf = spf
+    return spf
+
+
+def _factor(n: int, spf: array) -> list[tuple[int, int]]:
+    """Prime factorization [(p, e), ...] of n >= 1, ascending, using the table spf.
+
+    A cofactor at or above len(spf) is split by trial division over the
+    table's primes (then over all integers, past the table) until it
+    drops into the table or is shown prime.
+    """
+    factors = []
+    size = len(spf)
+    q = 2
+    while n >= size:
+        if q * q > n:
+            return factors + [(n, 1)]
+        if q >= size or spf[q] == q:
+            e = 0
+            while n % q == 0:
+                n //= q
+                e += 1
+            if e:
+                factors.append((q, e))
+        q += 1
+    while n > 1:
+        q = spf[n]
+        n //= q
+        e = 1
+        while n % q == 0:
+            n //= q
+            e += 1
+        factors.append((q, e))
+    return factors
+
+
+def _divisors_in(n: int, lo: int, hi: int, spf: array) -> list[int]:
+    """The divisors d of n >= 1 with lo <= d <= hi, ascending."""
+    divs = [1]
+    for q, e in _factor(n, spf):
+        step = divs
+        bound = hi // q
+        for _ in range(e):
+            step = [d * q for d in step if d <= bound]
+            divs += step
+    found = [d for d in divs if d >= lo]
+    found.sort()
+    return found
+
+
 def reduced_forms(disc: int) -> list[QuadForm]:
-    """All reduced primitive indefinite forms of positive nonsquare discriminant."""
+    """All reduced primitive indefinite forms of positive nonsquare discriminant.
+
+    (a, b, c) is reduced when 0 < b < sqrt(disc) and
+    sqrt(disc) - b < 2|a| < sqrt(disc) + b.  With s = isqrt(disc) and
+    disc nonsquare this is exactly ceil((s+1-b)/2) <= |a| <= floor((s+b)/2),
+    and since (sqrt(disc) - b)(sqrt(disc) + b) = 4|a||c|, |a| lies in that
+    window exactly when |c| does.  So for each b, with n = (disc - b^2)/4,
+    the forms are the divisor pairs (d, n/d) of n with d <= sqrt(n) in the
+    window.  The divisors of n come from its factorization through a
+    smallest-prime-factor table (4 bytes per integer up to the largest
+    disc/4 seen, at most 16 MiB), about sqrt(disc)*d(n) lookups per disc
+    instead of trial division by every i <= sqrt(n).  Each form found is
+    still checked with _is_reduced, and kept only if primitive.  Forms
+    come in order of b, then of the smaller divisor, |a| before |c|, and
+    a > 0 before a < 0.
+    """
     if disc <= 0 or disc % 4 not in (0, 1):
         raise BadDiscriminant(f"{disc} is not a discriminant (need 0 or 1 mod 4)")
     s = math.isqrt(disc)
     if s * s == disc:
         raise BadDiscriminant(f"{disc} is a perfect square")
+    spf = _spf_table(disc // 4)
     forms = []
-    b = 2 if disc % 2 == 0 else 1
-    while b * b < disc:
+    for b in range(2 if disc % 2 == 0 else 1, s + 1, 2):
         n = (disc - b * b) // 4
-        for i in range(1, math.isqrt(n) + 1):
-            if n % i:
-                continue
-            for aa in (i,) if i * i == n else (i, n // i):
+        hi = min((s + b) // 2, math.isqrt(n))
+        for d in _divisors_in(n, (s + 2 - b) // 2, hi, spf):
+            for aa in (d,) if d * d == n else (d, n // d):
                 if not _is_reduced(aa, b, disc):
-                    continue
-                for a in (aa, -aa):
-                    c = -(n // a) if a > 0 else n // -a
-                    if math.gcd(math.gcd(a, b), c) == 1:
-                        forms.append(QuadForm(a=a, b=b, c=c))
-        b += 2
+                    raise ComputationBug(f"disc = {disc}: ({aa}, {b}) is not reduced")
+                c = n // aa
+                if math.gcd(aa, b, c) == 1:
+                    forms += (QuadForm(aa, b, -c), QuadForm(-aa, b, c))
     return forms
 
 
-def _rho(form: QuadForm, disc: int, s: int) -> QuadForm:
+def _rho(form: tuple[int, int, int], disc: int, s: int) -> tuple[int, int, int]:
     """Reduction-cycle step: (a,b,c) -> (c, b', (b'^2-disc)/(4c))."""
-    m = 2 * abs(form.c)
-    b2 = s - (s + form.b) % m
-    c2 = (b2 * b2 - disc) // (4 * form.c)
-    return QuadForm(a=form.c, b=b2, c=c2)
+    _, b, c = form
+    b2 = s - (s + b) % (2 * abs(c))
+    return c, b2, (b2 * b2 - disc) // (4 * c)
 
 
 def form_class_number(disc: int) -> int:
-    """Number of rho-cycles of reduced forms = proper form class number h(disc)."""
-    forms = reduced_forms(disc)
+    """Number of rho-cycles of reduced forms = proper form class number h(disc).
+
+    The reduced forms come from reduced_forms (see there for the window
+    bound and the factor table); the cycles are walked on (a, b, c) tuples.
+    """
+    remaining = {(f.a, f.b, f.c) for f in reduced_forms(disc)}
     s = math.isqrt(disc)
-    remaining = {(f.a, f.b, f.c) for f in forms}
     cycles = 0
     while remaining:
-        start = next(iter(remaining))
-        remaining.discard(start)
+        start = remaining.pop()
         cycles += 1
-        f = _rho(QuadForm(*start), disc, s)
-        while (f.a, f.b, f.c) != start:
-            remaining.discard((f.a, f.b, f.c))
+        f = _rho(start, disc, s)
+        while f != start:
+            remaining.discard(f)
             f = _rho(f, disc, s)
     return cycles
 

@@ -1,4 +1,6 @@
 import math
+import random
+from array import array
 
 import mpmath
 import pytest
@@ -29,6 +31,68 @@ def brute_pell(D, v_limit):
         if u * u == uu:
             return u, v
     return None
+
+
+def reference_reduced_forms(disc):
+    """Oracle: every reduced primitive form, by trial division of each n = (disc - b^2)/4.
+
+    For each b, every i <= sqrt(n) that divides n gives the candidates i
+    and n/i, kept when reduced and primitive; the library must return the
+    same forms in the same order.
+    """
+    forms = []
+    b = 2 if disc % 2 == 0 else 1
+    while b * b < disc:
+        n = (disc - b * b) // 4
+        for i in range(1, math.isqrt(n) + 1):
+            if n % i:
+                continue
+            for aa in (i,) if i * i == n else (i, n // i):
+                if not quadfield._is_reduced(aa, b, disc):
+                    continue
+                for a in (aa, -aa):
+                    c = -(n // a) if a > 0 else n // -a
+                    if math.gcd(math.gcd(a, b), c) == 1:
+                        forms.append(quadfield.QuadForm(a=a, b=b, c=c))
+        b += 2
+    return forms
+
+
+def reference_class_number(disc):
+    """Oracle: rho-cycles of reference_reduced_forms, one QuadForm per step."""
+    s = math.isqrt(disc)
+
+    def rho(f):
+        b2 = s - (s + f.b) % (2 * abs(f.c))
+        return quadfield.QuadForm(a=f.c, b=b2, c=(b2 * b2 - disc) // (4 * f.c))
+
+    remaining = set(reference_reduced_forms(disc))
+    cycles = 0
+    while remaining:
+        start = remaining.pop()
+        cycles += 1
+        f = rho(start)
+        while f != start:
+            remaining.remove(f)
+            f = rho(f)
+    return cycles
+
+
+def brute_spf(limit):
+    """Smallest prime factor of every n < limit, marking upwards from each prime."""
+    spf = [0] * limit
+    for p in range(2, limit):
+        if spf[p] == 0:
+            for m in range(p, limit, p):
+                if spf[m] == 0:
+                    spf[m] = p
+    return spf
+
+
+@pytest.fixture
+def fresh_table(monkeypatch):
+    """An empty factor table for the test; the module's own is restored afterwards."""
+    monkeypatch.setattr(quadfield, "_spf", array("I"))
 
 
 class TestContinuedFraction:
@@ -216,8 +280,8 @@ class TestClassNumbers:
                 assert f.discriminant() == disc
                 assert quadfield._is_reduced(f.a, f.b, disc)
                 # rho stays inside the reduced set (it permutes it)
-                g = quadfield._rho(f, disc, s)
-                assert (g.a, g.b, g.c) in seen, (disc, f, g)
+                g = quadfield._rho((f.a, f.b, f.c), disc, s)
+                assert g in seen, (disc, f, g)
 
     def test_bound_check(self):
         assert quadfield.class_number_bound_check(5)
@@ -256,3 +320,57 @@ class TestClassNumbers:
         assert not quadfield.is_fundamental_discriminant(20)
         assert not quadfield.is_fundamental_discriminant(4)
         assert not quadfield.is_fundamental_discriminant(-3)
+
+
+class TestReducedFormsOracle:
+    def test_matches_trial_division_to_4000(self):
+        for disc in range(5, 4001):
+            if disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
+                continue
+            assert quadfield.reduced_forms(disc) == reference_reduced_forms(disc), disc
+
+    @pytest.mark.parametrize("centre", [1817, 209991, 1752299])
+    def test_class_numbers_near_known_failures(self, centre):
+        odd = [D for D in range(centre - 40, centre + 41, 2) if math.isqrt(D) ** 2 != D]
+        nearest = sorted(odd, key=lambda D: (abs(D - centre), D))[:10]
+        for D in nearest:
+            assert quadfield.form_class_number(4 * D) == reference_class_number(4 * D), D
+
+
+class TestFactorTable:
+    def test_entries_are_smallest_prime_factors_below_2_16(self, fresh_table):
+        table = quadfield._spf_table(2**16 - 1)
+        assert len(table) == 2**16
+        want = brute_spf(2**16)
+        assert all(table[n] == want[n] for n in range(2, 2**16))
+
+    def test_grows_on_a_larger_request(self, fresh_table):
+        small = quadfield._spf_table(100)
+        assert 100 < len(small) < 5000
+        assert quadfield.reduced_forms(4 * 997) == reference_reduced_forms(4 * 997)
+        big = quadfield._spf_table(50_000)
+        assert len(big) == 2**16  # doubled from the small table until it covers 50000
+        want = brute_spf(len(big))
+        assert all(big[n] == want[n] for n in range(2, len(big)))
+        assert quadfield._spf_table(1000) is big
+        assert quadfield.reduced_forms(4 * 49_999) == reference_reduced_forms(4 * 49_999)
+
+    def test_capped_at_2_22_entries(self, fresh_table):
+        D = 4_194_313  # n = D - 1, D - 4, D - 9 are at or above the cap: the cofactor path
+        assert quadfield.reduced_forms(4 * D) == reference_reduced_forms(4 * D)
+        assert len(quadfield._spf) == quadfield._SPF_CAP == 2**22
+        assert len(quadfield._spf_table(2**40)) == 2**22
+
+    def test_cofactors_above_a_small_table(self, fresh_table, monkeypatch):
+        # with a 64-entry table almost every n goes through trial division,
+        # and n above 64^2 runs past the table's primes
+        import sympy
+
+        monkeypatch.setattr(quadfield, "_SPF_CAP", 64)
+        table = quadfield._spf_table(10**6)
+        assert len(table) == 64
+        rng = random.Random(4)
+        for n in [1, 2, 63, 64, 4096, 4097, 65_537, 2**20 * 3] + [rng.randrange(1, 10**9) for _ in range(200)]:
+            assert quadfield._factor(n, table) == sorted(sympy.factorint(n).items()), n
+        for disc in (5, 229, 4 * 1817, 20_001, 4 * 5_003):
+            assert quadfield.reduced_forms(disc) == reference_reduced_forms(disc), disc
