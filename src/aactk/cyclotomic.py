@@ -3,8 +3,11 @@
 A cyclotomic integer is stored on the power basis {1, zeta, ...,
 zeta^(p-2)} as a length-(p-1) coefficient vector; every occurrence of
 zeta^(p-1) is eliminated through 1 + zeta + ... + zeta^(p-1) = 0, so
-equality is coefficientwise.  No lattice or CRT tricks: desk-scale p
-keeps dense vectors fast and exact.
+equality is coefficientwise.  Products are exact schoolbook
+convolutions over Z: desk-scale p keeps dense vectors fast.  Where only
+the residues mod p are read (Lemma 6), cyc_pow_mod_p instead works in
+F_p[x]/(x^p - 1), packing the p residues into one integer so that each
+multiply is a single big-integer product.
 
 The group ring element G = sum_j (j/p) sigma_j acts linearly through the
 Galois automorphisms sigma_a : zeta -> zeta^a.  The Gauss sum
@@ -16,6 +19,8 @@ fixes zeta = exp(2*pi*i/p) (making tau the positive square root).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 
 import mpmath
@@ -109,6 +114,66 @@ def cyc_pow(x: CycInt, e: int) -> CycInt:
         base = cyc_mul(base, base)
         e >>= 1
     return result
+
+
+def cyc_pow_mod_p(x: CycInt, e: int) -> tuple[int, ...]:
+    """Power-basis coefficients of x^e, each reduced into [0, p).
+
+    Works in F_p[x]/(x^p - 1), which maps onto Z[zeta]/(p) = F_p[x]/Phi_p
+    because reducing coefficients mod p is a ring map and Phi_p divides
+    x^p - 1; so the result equals cyc_pow(x, e) reduced coefficientwise.
+    The p residues travel packed into one integer, W bits per slot
+    (Kronecker substitution), and each multiply is one big-integer
+    product, the fold x^p = 1 as (z & M) + (z >> pW), and one pass of
+    v % p.  A folded slot is a sum of at most p products of residues, so
+    it stays below p*(p-1)^2 and no slot carries into the next: W = 32
+    (array "I") while p*(p-1)^2 < 2^32 (p <= 1626), W = 64 (array "Q")
+    while it is below 2^64 (p <= 2642245).  Larger p raises OutOfRange
+    before anything p-sized is allocated.
+    """
+    if e < 0:
+        raise OutOfRange("negative exponent")
+    p = x.p
+    slot_max = p * (p - 1) ** 2
+    for typecode in ("I", "Q"):
+        if slot_max >> (8 * array(typecode).itemsize) == 0:
+            break
+    else:
+        raise OutOfRange(f"p = {p}: p*(p-1)^2 = {slot_max} does not fit a 64-bit slot")
+    nbytes = p * array(typecode).itemsize
+    shift = 8 * nbytes
+    mask = (1 << shift) - 1
+    # array holds native byte order; the packing is little-endian, slot i
+    # at bit i*W, so that the integer product is the polynomial product.
+    swap = sys.byteorder == "big"
+
+    def pack(residues) -> int:
+        slots = array(typecode, residues)
+        if swap:
+            slots.byteswap()
+        return int.from_bytes(slots.tobytes(), "little")
+
+    def unpack(z: int) -> list[int]:
+        slots = array(typecode, z.to_bytes(nbytes, "little"))
+        if swap:
+            slots.byteswap()
+        return [v % p for v in slots]
+
+    def mul(a: int, b: int) -> int:
+        z = a * b
+        return pack(unpack((z & mask) + (z >> shift)))
+
+    if e == 0:
+        d = [1] + [0] * (p - 1)
+    else:
+        base = result = pack([c % p for c in x.coeffs] + [0])
+        for bit in bin(e)[3:]:
+            result = mul(result, result)
+            if bit == "1":
+                result = mul(result, base)
+        d = unpack(result)
+    top = d[p - 1]
+    return tuple((d[i] - top) % p for i in range(p - 1))
 
 
 @dataclass(frozen=True)
@@ -249,17 +314,20 @@ def lemma6_check(n: int, j: int, p) -> bool:
     """(gamma - n)^(p-1) = 0 mod p in Z[zeta], gamma = sum_{k<n} zeta^(jk).
 
     This is the integral form of the fractional valuation bound
-    v_p(gamma/n - 1) >= 1/(p-1); the power is computed exactly and every
-    coefficient must be divisible by p.
+    v_p(gamma/n - 1) >= 1/(p-1): every power-basis coefficient of the
+    power must be divisible by p.  Only those residues are read, so the
+    power is taken by cyc_pow_mod_p in F_p[x]/(x^p - 1); reduction mod p
+    and the projection onto F_p[x]/Phi_p are ring maps, so the residues
+    are those of the exact power over Z (cyc_pow, kept as the test
+    oracle).  The slot bound of cyc_pow_mod_p limits p to 2642245.
     """
     p = modmath.as_prime(p)
     modmath.require_nonresidue(n, p)
     if not 1 <= j <= p - 1:
         raise OutOfRange(f"j = {j} outside [1, {p - 1}]")
-    gamma = CycInt.from_powers(p, {j * k % p: 1 for k in range(n)})
-    delta = gamma - n * CycInt.one(p)
-    power = cyc_pow(delta, p - 1)
-    return all(c % p == 0 for c in power.coeffs)
+    powers = {j * k % p: 1 for k in range(n)}  # gamma; the k = 0 term is zeta^0
+    powers[0] -= n
+    return not any(cyc_pow_mod_p(CycInt.from_powers(p, powers), p - 1))
 
 
 def _unit_dps(p: int) -> int:

@@ -256,34 +256,51 @@ def _default_dps() -> int:
     return int(os.environ.get("AACTK_DPS", "50"))
 
 
+def _chi_half(d: int) -> list[int]:
+    """chi(a) = (d/a) for 0 <= a < d/2.
+
+    For a prime d = 1 mod 4 reciprocity gives (d/a) = (a/d), read off
+    the squares mod d: -1 is a square, so r and d - r are residues
+    together.  Other d take one kronecker call per a.
+    """
+    half = (d - 1) // 2
+    if d % 4 != 1 or not modmath.is_prime(d):
+        return [modmath.kronecker(d, a) for a in range(half + 1)]
+    chi = [-1] * (half + 1)
+    chi[0] = 0
+    for b in range(1, half + 1):
+        r = b * b % d
+        chi[r if r <= half else d - r] = 1
+    return chi
+
+
 def _lsum_float(d: int) -> float:
     total = 0.0
-    for a in range(1, d):
-        chi = modmath.kronecker(d, a)
+    for a, chi in enumerate(_chi_half(d)):
         if chi:
             total += chi * math.log(math.sin(math.pi * a / d))
-    return total
+    return 2 * total
 
 
 def _lsum_mpmath(d: int, dps: int):
     with mpmath.workdps(dps):
         total = mpmath.mpf(0)
         pi = +mpmath.pi
-        for a in range(1, d):
-            chi = modmath.kronecker(d, a)
+        for a, chi in enumerate(_chi_half(d)):
             if chi:
                 total += chi * mpmath.log(mpmath.sin(pi * a / d))
-        return float(total)
+        return float(2 * total)
 
 
 def class_number_dirichlet(d: int) -> int:
     """Class number of forms of discriminant d by the analytic formula.
 
     Uses the exact finite evaluation
-        L(1,chi) = -(1/sqrt(d)) * sum_{a=1}^{d-1} chi(a) log sin(pi a / d)
-    and divides sqrt(d)*L(1,chi) by the regulator of the totally positive
-    fundamental unit (2 log eps_d when eps_d has norm -1, as it does for
-    every prime p = 1 mod 4).  Rounds to the nearest integer and demands
+        L(1,chi) = -(1/sqrt(d)) * sum_{a=1}^{d-1} chi(a) log sin(pi a / d),
+    summed over a < d/2 and doubled (chi is even for d > 0, and the sine
+    is symmetric about d/2), and divides sqrt(d)*L(1,chi) by the
+    regulator of the totally positive fundamental unit (2 log eps_d when
+    eps_d has norm -1, as it does for every prime p = 1 mod 4).  Rounds to the nearest integer and demands
     a rounding distance < 0.25, retrying once in software extended
     precision before raising PrecisionLoss.
     """

@@ -14,7 +14,6 @@ installed on, say, `gaac.gaac_check` sees every scanned item.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterator
 
 from . import congruences, gaac, modmath, quadfield
@@ -101,6 +100,10 @@ def run(kind: str, items: list, jobs: int = 1) -> Iterator[dict]:
     """
     worker = KINDS[kind][0]
     if jobs > 1 and len(items) >= _PARALLEL_THRESHOLD:
+        # Imported here: the pool machinery costs every serial run memory
+        # and start-up time.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             yield from pool.map(worker, items, chunksize=max(1, len(items) // (jobs * 8)))
     else:

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -203,6 +204,108 @@ class TestLemma6:
     def test_rejects_residue(self):
         with pytest.raises(NotNonResidue):
             cyc.lemma6_check(4, 1, 5)
+
+    @pytest.mark.parametrize("position", range(4))
+    def test_verdict_follows_the_residues(self, monkeypatch, position):
+        # lemma6_check decides on the kernel's residues: any nonzero one is a no
+        residues = tuple(int(i == position) for i in range(4))
+        monkeypatch.setattr(cyc, "cyc_pow_mod_p", lambda x, e: residues)
+        assert not cyc.lemma6_check(2, 1, 5)
+
+
+def reduced_exact_power(x, e):
+    """Oracle: the exact power over Z, reduced coefficientwise mod p."""
+    return tuple(c % x.p for c in cyc.cyc_pow(x, e).coeffs)
+
+
+class TestPowModP:
+    def test_every_lemma6_power_to_23(self):
+        for p in modmath.primes_in(3, 23):
+            for n in range(2, p):
+                if modmath.legendre(n, p) != -1:
+                    continue
+                for j in range(1, p):
+                    powers = {j * k % p: 1 for k in range(n)}
+                    delta = cyc.CycInt.from_powers(p, powers) - n * cyc.CycInt.one(p)
+                    want = reduced_exact_power(delta, p - 1)
+                    assert cyc.cyc_pow_mod_p(delta, p - 1) == want, (p, n, j)
+
+    def test_random_elements_to_211(self):
+        rng = random.Random(20261018)
+        for i, p in enumerate(modmath.primes_in(3, 211)):
+            # coefficients of either sign and beyond p; exponents 0..12 in turn
+            bound = p * p
+            x = cyc.CycInt(p, tuple(rng.randrange(-bound, bound) for _ in range(p - 1)))
+            e = i % 13
+            assert cyc.cyc_pow_mod_p(x, e) == reduced_exact_power(x, e), (p, e)
+
+    @pytest.mark.parametrize("p", [1621, 1627])
+    def test_sparse_elements_either_side_of_the_32_bit_slots(self, p):
+        # 1621 is the last prime with p*(p-1)^2 < 2^32, 1627 the first above
+        assert (1621 * 1620**2 < 2**32) and (1627 * 1626**2 >= 2**32)
+        rng = random.Random(p)
+        for e in (2, 3, 5):
+            powers = {rng.randrange(p): rng.randrange(-p, p) for _ in range(3)}
+            x = cyc.CycInt.from_powers(p, powers)
+            assert cyc.cyc_pow_mod_p(x, e) == reduced_exact_power(x, e), (p, e, powers)
+
+    @pytest.mark.parametrize("p", [7, 1621, 1627])
+    def test_near_largest_residues_fill_the_slots(self, p):
+        # Every coefficient p - 1 is -(1 + ... + zeta^(p-2)) = zeta^(-1) mod p;
+        # raising one of them by c gives x = zeta^(-1) + c*zeta^k, so
+        # x^e = sum_i C(e, i) c^i zeta^(ik - (e-i)).  Squaring puts up to
+        # (p-2)*(p-1)^2 in a slot: under 2^32 at 1621, over it at 1627.
+        k, c = 3, 5
+        coeffs = [p - 1] * (p - 1)
+        coeffs[k] += c
+        x = cyc.CycInt(p, tuple(coeffs))
+        for e in (2, 3, p - 1):
+            powers = {}
+            for i in range(e + 1):
+                exponent = (i * k - (e - i)) % p
+                powers[exponent] = powers.get(exponent, 0) + math.comb(e, i) * c**i
+            want = tuple(v % p for v in cyc.CycInt.from_powers(p, powers).coeffs)
+            if p < 50:
+                assert reduced_exact_power(x, e) == want, (p, e)
+            assert cyc.cyc_pow_mod_p(x, e) == want, (p, e)
+
+    def test_small_exponents(self):
+        p = 7
+        x = cyc.CycInt.from_powers(p, {0: 3, 2: -1, 6: 9})
+        assert cyc.cyc_pow_mod_p(x, 0) == (1, 0, 0, 0, 0, 0)
+        assert cyc.cyc_pow_mod_p(x, 1) == tuple(c % p for c in x.coeffs)
+
+    def test_nonzero_power(self):
+        # (zeta - 1)^3 is not divisible by 5: the check can say no
+        delta = cyc.CycInt.from_powers(5, {1: 1, 0: -1})
+        assert cyc.cyc_pow_mod_p(delta, 3) == (4, 3, 2, 1)
+
+    def test_negative_exponent(self):
+        with pytest.raises(OutOfRange):
+            cyc.cyc_pow_mod_p(cyc.CycInt.one(5), -1)
+
+    def test_slot_bound_raises_before_allocating(self):
+        import tracemalloc
+        from types import SimpleNamespace
+
+        class Untouchable:
+            def __getattr__(self, name):
+                raise AssertionError(f"coefficients read: {name}")
+
+            def __iter__(self):
+                raise AssertionError("coefficients read")
+
+        p = 2642257  # the first prime with p*(p-1)^2 >= 2^64
+        assert p * (p - 1) ** 2 >= 2**64 > 2642239 * 2642238**2
+        x = SimpleNamespace(p=p, coeffs=Untouchable())
+        tracemalloc.start()
+        try:
+            with pytest.raises(OutOfRange):
+                cyc.cyc_pow_mod_p(x, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestUnitIdentities:

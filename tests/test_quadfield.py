@@ -78,6 +78,16 @@ def reference_class_number(disc):
     return cycles
 
 
+def reference_lsum(d):
+    """Oracle: sum_{a=1}^{d-1} (d/a) log sin(pi a / d), one kronecker call per term."""
+    total = 0.0
+    for a in range(1, d):
+        chi = modmath.kronecker(d, a)
+        if chi:
+            total += chi * math.log(math.sin(math.pi * a / d))
+    return total
+
+
 def brute_spf(limit):
     """Smallest prime factor of every n < limit, marking upwards from each prime."""
     spf = [0] * limit
@@ -320,6 +330,34 @@ class TestClassNumbers:
         assert not quadfield.is_fundamental_discriminant(20)
         assert not quadfield.is_fundamental_discriminant(4)
         assert not quadfield.is_fundamental_discriminant(-3)
+
+
+class TestLSum:
+    def test_half_sum_matches_full_sum(self):
+        fundamental = [d for d in range(5, 2001) if quadfield.is_fundamental_discriminant(d)]
+        primes = [p for p in modmath.primes_in(2001, 3000) if p % 4 == 1]
+        for d in fundamental + primes:
+            assert abs(quadfield._lsum_float(d) - reference_lsum(d)) < 1e-9, d
+
+    def test_mpmath_half_sum_matches_full_sum(self):
+        for d in (5, 8, 12, 229, 1229, 1996, 2953):
+            assert abs(quadfield._lsum_mpmath(d, 30) - reference_lsum(d)) < 1e-9, d
+
+    def test_prime_table_is_the_kronecker_symbol(self):
+        for p in modmath.primes_in(5, 3000):
+            if p % 4 == 1:
+                want = [modmath.kronecker(p, a) for a in range((p + 1) // 2)]
+                assert quadfield._chi_half(p) == want, p
+
+    def test_composite_table_is_the_kronecker_symbol(self):
+        for d in (7, 8, 11, 12, 21, 40, 1996):
+            want = [modmath.kronecker(d, a) for a in range((d + 1) // 2)]
+            assert quadfield._chi_half(d) == want, d
+
+    def test_class_numbers_of_primes_to_1e4_match_forms(self):
+        for p in modmath.primes_in(5, 10_000):
+            if p % 4 == 1:
+                assert quadfield.class_number(p) == quadfield.form_class_number(p), p
 
 
 class TestReducedFormsOracle:

@@ -1,3 +1,6 @@
+import subprocess
+import sys
+
 import pytest
 
 from aactk import scan
@@ -33,3 +36,11 @@ def test_resumed_refuses_a_block_that_straddles_the_range():
     straddling = {"n_lo": 2900, "n_hi": 3100, "count": 0}
     with pytest.raises(PreconditionViolation):
         scan.resumed("density", 2, 3000, items, [straddling])
+
+
+def test_process_pool_is_imported_only_for_a_pool():
+    # serial runs, the common case, do not pay for concurrent.futures
+    code = "import sys, aactk, aactk.cli; print(any(m.startswith('concurrent') for m in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
