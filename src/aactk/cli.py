@@ -8,6 +8,12 @@ Subcommands:
   unit --d D
   class-number --disc DISC
 
+VERIFIERS lists the statements `verify` accepts: each names its
+congruences verifier and the options it takes after --p.  A missing
+option is a usage error (exit 2) that names every missing --opt.  The
+scan kinds are those of scan.KINDS.  The parser is built once per
+process; each call of main parses into a fresh namespace.
+
 Records are flat one-per-line JSON objects with a per-line integrity
 field ("crc", CRC-32 of the canonical record without it).  Output is
 deterministic: keys sorted, items in ascending p/D order, so identical
@@ -25,18 +31,22 @@ outside aactk's hierarchy: the implementation or its precision is at
 fault, not the input).
 
 The AACTK_DPS environment variable overrides the default working
-precision (decimal digits) of the floating-point checks.
+precision (decimal digits, an integer >= 16, default 50) of the
+floating-point checks; main reads it before any command runs, so a bad
+value exits 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
 import time
 import zlib
+from typing import NamedTuple
 
 from . import congruences, gaac, modmath, quadfield, scan
 from .errors import CheckpointCorrupt, PreconditionViolation
@@ -148,49 +158,42 @@ def _parse_int_list(text: str) -> list[int]:
 # verify
 
 
-def _run_verify(args) -> int:
-    p = args.p
-    stmt = args.statement
-    if stmt == "aac":
-        reports = [congruences.verify_aac(p)]
-    elif stmt == "thm21":
-        if args.a is None or args.b is None:
-            raise PreconditionViolation("thm21 needs --a and --b representative lists")
-        reports = [
-            congruences.verify_thm21(p, _parse_int_list(args.a), _parse_int_list(args.b))
-        ]
-    elif stmt == "thm51":
-        if args.m is None:
-            raise PreconditionViolation("thm51 needs --m (a non-residue)")
-        reports = list(congruences.verify_thm51(p, args.m))
-    elif stmt == "cor53":
-        if args.m is None:
-            raise PreconditionViolation("cor53 needs --m (a non-residue)")
-        reports = [congruences.verify_cor53(p, args.m)]
-    elif stmt == "thm54":
-        if args.M is None:
-            raise PreconditionViolation("thm54 needs --M (a positive non-residue lift)")
-        reports = [congruences.verify_thm54(p, args.M)]
-    elif stmt == "eisenstein":
-        reports = [congruences.verify_eisenstein(p)]
-    elif stmt == "gen-eisenstein":
-        if args.m is None:
-            raise PreconditionViolation("gen-eisenstein needs --m (odd non-residue)")
-        reports = [congruences.verify_gen_eisenstein(p, args.m)]
-    elif stmt == "thm56":
-        if args.r is None:
-            raise PreconditionViolation("thm56 needs --r (a residue)")
-        abar, bbar = args.abar, args.bbar
-        if abar is None or bbar is None:
-            abar, bbar = congruences.nonresidue_factorization(p, args.r)
-        reports = [congruences.verify_thm56(p, args.r, abar, bbar)]
-    elif stmt == "aac1952":
-        if args.n is None:
-            raise PreconditionViolation("aac1952 needs --n (a non-residue)")
-        reports = [congruences.verify_aac1952(p, args.n)]
-    else:
-        raise PreconditionViolation(f"unknown statement {stmt!r}")
+class Verifier(NamedTuple):
+    """One `aactk verify` statement: a congruences function and its options."""
 
+    func: str  # the congruences verifier, looked up when called
+    options: tuple[str, ...] = ()  # required, passed after p in this order
+    derived: tuple[str, ...] = ()  # passed last; if any is missing, `derive` gives all
+    derive: str = ""  # congruences function of p and `options` that returns `derived`
+
+
+# statement -> Verifier; the one list of statements and the options each takes
+VERIFIERS = {
+    "aac": Verifier("verify_aac"),
+    "thm21": Verifier("verify_thm21", ("a", "b")),
+    "thm51": Verifier("verify_thm51", ("m",)),
+    "cor53": Verifier("verify_cor53", ("m",)),
+    "thm54": Verifier("verify_thm54", ("M",)),
+    "eisenstein": Verifier("verify_eisenstein"),
+    "gen-eisenstein": Verifier("verify_gen_eisenstein", ("m",)),
+    "thm56": Verifier("verify_thm56", ("r",), ("abar", "bbar"), "nonresidue_factorization"),
+    "aac1952": Verifier("verify_aac1952", ("n",)),
+}
+
+
+def _run_verify(args) -> int:
+    v = VERIFIERS[args.statement]
+    values = [getattr(args, opt) for opt in v.options]
+    missing = [f"--{opt}" for opt, x in zip(v.options, values) if x is None]
+    if missing:
+        raise PreconditionViolation(f"{args.statement} needs {' and '.join(missing)}")
+    # the integer lists, --a and --b, arrive as text
+    values = [_parse_int_list(x) if isinstance(x, str) else x for x in values]
+    derived = [getattr(args, opt) for opt in v.derived]
+    if None in derived:
+        derived = getattr(congruences, v.derive)(args.p, *values)
+    result = getattr(congruences, v.func)(args.p, *values, *derived)
+    reports = list(result) if isinstance(result, tuple) else [result]
     _render([r.to_record() for r in reports], args.format, sys.stdout)
     return EXIT_OK if all(r.holds for r in reports) else EXIT_FAILED_CONGRUENCE
 
@@ -254,8 +257,7 @@ def _scan_summary(kind: str, records: list[dict], elapsed: float, args) -> int:
 
 
 def _run_report(args) -> int:
-    records = load_checkpoint(args.input)
-    _render(records, args.format, sys.stdout)
+    _render(load_checkpoint(args.input), args.format, sys.stdout)
     return EXIT_OK
 
 
@@ -263,23 +265,11 @@ def _run_unit(args) -> int:
     d = args.d
     if d % 4 == 1 and modmath.is_prime(d):
         unit = quadfield.fundamental_unit(d)
-        record = {
-            "d": d,
-            "kind": "fundamental-unit",
-            "t": unit.t,
-            "u": unit.u,
-            "norm": unit.norm_sign,
-            "regulator": quadfield.regulator(unit),
-        }
+        record = {"kind": "fundamental-unit", "t": unit.t, "u": unit.u, "norm": unit.norm_sign}
     else:
-        pell = quadfield.pell_min_solution(d)
-        record = {
-            "d": d,
-            "kind": "pell",
-            "u1": pell.u1,
-            "v1": pell.v1,
-            "regulator": quadfield.regulator(pell),
-        }
+        unit = quadfield.pell_min_solution(d)
+        record = {"kind": "pell", "u1": unit.u1, "v1": unit.v1}
+    record.update(d=d, regulator=quadfield.regulator(unit))
     _render([record], args.format, sys.stdout)
     return EXIT_OK
 
@@ -294,7 +284,13 @@ def _run_class_number(args) -> int:
     return EXIT_OK
 
 
+FORMATS = ["json", "csv", "table"]
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; each parse_args call
+    returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="aactk",
         description="Verify unit/class-number/Fermat-quotient congruences "
@@ -303,34 +299,20 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     v = sub.add_parser("verify", help="run one congruence verifier")
-    v.add_argument(
-        "statement",
-        choices=[
-            "aac",
-            "thm21",
-            "thm51",
-            "cor53",
-            "thm54",
-            "eisenstein",
-            "gen-eisenstein",
-            "thm56",
-            "aac1952",
-        ],
-    )
+    v.add_argument("statement", choices=list(VERIFIERS))
     v.add_argument("--p", type=int, required=True, help="odd prime modulus")
     v.add_argument("--m", type=int, help="non-residue parameter")
     v.add_argument("--n", type=int, help="non-residue parameter")
     v.add_argument("--M", type=int, help="positive lift of a non-residue")
     v.add_argument("--r", type=int, help="quadratic residue parameter")
-    v.add_argument("--abar", type=int, help="non-residue lift (thm56)")
-    v.add_argument("--bbar", type=int, help="non-residue lift (thm56)")
+    v.add_argument("--abar", type=int, help="non-residue lift (default: factor --r)")
+    v.add_argument("--bbar", type=int, help="non-residue lift (default: factor --r)")
     v.add_argument("--a", type=str, help="comma-separated residue representatives")
     v.add_argument("--b", type=str, help="comma-separated non-residue representatives")
-    v.add_argument("--format", choices=["json", "csv", "table"], default="json")
     v.set_defaults(func=_run_verify)
 
     s = sub.add_parser("scan", help="range scan with checkpointing")
-    s.add_argument("kind", choices=["aac", "gaac", "eisenstein", "density"])
+    s.add_argument("kind", choices=list(scan.KINDS))
     s.add_argument("--max", type=int, help="upper bound (inclusive)")
     s.add_argument("--min", type=int, help="lower bound (inclusive)")
     s.add_argument("--x", type=int, help="alias for --max (density)")
@@ -342,26 +324,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     r = sub.add_parser("report", help="re-render a checkpoint file")
     r.add_argument("--in", dest="input", required=True)
-    r.add_argument("--format", choices=["json", "csv", "table"], default="table")
     r.set_defaults(func=_run_report)
 
     u = sub.add_parser("unit", help="fundamental unit / least Pell solution")
     u.add_argument("--d", type=int, required=True)
-    u.add_argument("--format", choices=["json", "csv", "table"], default="json")
     u.set_defaults(func=_run_unit)
 
     c = sub.add_parser("class-number", help="form class number of a discriminant")
     c.add_argument("--disc", type=int, required=True)
-    c.add_argument("--format", choices=["json", "csv", "table"], default="json")
     c.set_defaults(func=_run_class_number)
+
+    for command, default in ((v, "json"), (r, "table"), (u, "json"), (c, "json")):
+        command.add_argument("--format", choices=FORMATS, default=default)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        quadfield._default_dps()  # a bad AACTK_DPS is a usage error, whatever the command
         return args.func(args)
     except CheckpointCorrupt as exc:
         print(f"error: checkpoint corrupt: {exc}", file=sys.stderr)

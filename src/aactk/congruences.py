@@ -146,12 +146,12 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     p = modmath.require_1mod4(p)
     a_set = [int(a) for a in a_set]
     b_set = [int(b) for b in b_set]
-    rs = modmath.residue_sets(p)
+    qr, nqr = modmath.residue_partition(p)
     if any(a <= 0 for a in a_set + b_set):
         raise BadRepresentatives("all representatives must be positive")
-    if tuple(sorted(a % p for a in a_set)) != rs.qr:
+    if tuple(sorted(a % p for a in a_set)) != qr:
         raise BadRepresentatives("a_set does not reduce to the residue set")
-    if tuple(sorted(b % p for b in b_set)) != rs.nqr:
+    if tuple(sorted(b % p for b in b_set)) != nqr:
         raise BadRepresentatives("b_set does not reduce to the non-residue set")
 
     a_star = modmath.prod_mod(a_set, p * p)
@@ -186,7 +186,7 @@ def verify_thm51(p, m: int) -> tuple[CongruenceReport, CongruenceReport]:
     lhs = modmath.fermat_quotient_mod(m, p)
 
     data = unit_class_data(p)
-    rs = modmath.residue_sets(p)
+    qr, nqr = modmath.residue_partition(p)
     inv = modmath.inverse_table(p)
     inv_m = inv[m]
     four_hut = 2 * data.ratio_2hu_t % p
@@ -194,8 +194,8 @@ def verify_thm51(p, m: int) -> tuple[CongruenceReport, CongruenceReport]:
     def floor_sum(members) -> int:
         return sum(m * x // p * inv_m * inv[x] for x in members) % p
 
-    rhs_r = (four_hut + 2 * floor_sum(rs.qr)) % p
-    rhs_n = (-four_hut + 2 * floor_sum(rs.nqr)) % p
+    rhs_r = (four_hut + 2 * floor_sum(qr)) % p
+    rhs_n = (-four_hut + 2 * floor_sum(nqr)) % p
     params = {"m": m}
     return (
         _report(Statement.THM51_R, p, params, lhs, rhs_r),

@@ -292,12 +292,19 @@ def _qr_set(p: int) -> frozenset[int]:
     return frozenset(a * a % p for a in range(1, (p + 1) // 2))
 
 
-def residue_sets(p) -> ResidueSets:
-    """Quadratic residue and non-residue sets with their products A, B mod p^2."""
+def residue_partition(p) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(qr, nqr): the residues and non-residues in [1, p-1], ascending."""
     p = require_1mod4(p)
     squares = _qr_set(p)
     qr = tuple(sorted(squares))
     nqr = tuple(a for a in range(1, p) if a not in squares)
+    return qr, nqr
+
+
+def residue_sets(p) -> ResidueSets:
+    """Quadratic residue and non-residue sets with their products A, B mod p^2."""
+    p = require_1mod4(p)
+    qr, nqr = residue_partition(p)
     p2 = p * p
     return ResidueSets(
         p=PrimeModulus.of(p), qr=qr, nqr=nqr, A=prod_mod(qr, p2), B=prod_mod(nqr, p2)

@@ -252,8 +252,17 @@ def _unit_of_discriminant(d: int) -> tuple[int, int, int]:
     return 2 * x1, y1, nsign
 
 
+# The least mpmath precision above a double's 53 bits: with fewer digits the
+# extended-precision retry would be coarser than the float sum it retries.
+_MIN_DPS = 16
+
+
 def _default_dps() -> int:
-    return int(os.environ.get("AACTK_DPS", "50"))
+    """AACTK_DPS, default 50; OutOfRange unless it is an integer >= 16."""
+    text = os.environ.get("AACTK_DPS", "50")
+    if not text.strip().isdecimal() or int(text) < _MIN_DPS:
+        raise OutOfRange(f"AACTK_DPS = {text!r} is not an integer >= {_MIN_DPS}")
+    return int(text)
 
 
 def _chi_half(d: int) -> list[int]:

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
-from aactk import cli
-from aactk.errors import DivisibilityBug
+import aactk
+from aactk import cli, quadfield, scan
+from aactk.errors import DivisibilityBug, OutOfRange
+
+# A child Python finds the package under test the way this process did.
+CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(aactk.__file__))}
 
 
 def run(capsys, *argv):
@@ -106,6 +111,73 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "aac", "--p", "5", "--format", "table")
         assert code == 0
         assert out.splitlines()[0].startswith("holds")
+
+
+# statement -> a complete argv after the statement name, one that holds
+VALID = {
+    "aac": ["--p", "13"],
+    "thm21": ["--p", "13", "--a", "1,3,4,9,10,12", "--b", "2,5,6,7,8,11"],
+    "thm51": ["--p", "13", "--m", "2"],
+    "cor53": ["--p", "13", "--m", "2"],
+    "thm54": ["--p", "13", "--M", "15"],
+    "eisenstein": ["--p", "13"],
+    "gen-eisenstein": ["--p", "7", "--m", "3"],
+    "thm56": ["--p", "13", "--r", "4"],
+    "aac1952": ["--p", "13", "--n", "2"],
+}
+
+
+class TestVerifierTable:
+    def test_every_statement_has_a_valid_invocation(self, capsys):
+        assert list(VALID) == list(cli.VERIFIERS)
+        for stmt, argv in VALID.items():
+            code, out, _ = run(capsys, "verify", stmt, *argv)
+            assert code == 0 and out, stmt
+
+    @pytest.mark.parametrize(
+        "stmt, opt", [(s, o) for s, v in cli.VERIFIERS.items() for o in v.options]
+    )
+    def test_missing_option_exit_2(self, capsys, stmt, opt):
+        argv = VALID[stmt]
+        i = argv.index(f"--{opt}")
+        code, out, err = run(capsys, "verify", stmt, *argv[:i], *argv[i + 2 :])
+        assert code == 2 and out == ""
+        assert f"--{opt}" in err
+
+    def test_every_missing_option_is_named(self, capsys):
+        code, _, err = run(capsys, "verify", "thm21", "--p", "5")
+        assert code == 2 and "--a" in err and "--b" in err
+
+    def test_derived_options_need_not_be_given(self, capsys):
+        _, auto, _ = run(capsys, "verify", "thm56", "--p", "13", "--r", "4")
+        (rec,) = parse_lines(auto)
+        abar, bbar = str(rec["params"]["abar"]), str(rec["params"]["bbar"])
+        for extra in (["--abar", abar], ["--bbar", bbar], ["--abar", abar, "--bbar", bbar]):
+            code, out, _ = run(capsys, "verify", "thm56", "--p", "13", "--r", "4", *extra)
+            assert code == 0 and out == auto
+
+    def test_choices_come_from_the_tables(self):
+        sub = cli.build_parser()._subparsers._group_actions[0].choices
+        (stmt,) = [a for a in sub["verify"]._actions if a.dest == "statement"]
+        (kind,) = [a for a in sub["scan"]._actions if a.dest == "kind"]
+        assert stmt.choices == list(cli.VERIFIERS)
+        assert kind.choices == list(scan.KINDS)
+
+    def test_parser_is_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_do_not_share_options(self, capsys, tmp_path):
+        _, csv_out, _ = run(capsys, "verify", "aac", "--p", "5", "--format", "csv")
+        _, json_out, _ = run(capsys, "verify", "aac", "--p", "5")
+        assert csv_out.startswith("holds,")
+        assert parse_lines(json_out)[0]["stmt"] == "AAC_EQ2"
+
+        ck = tmp_path / "gaac.jsonl"
+        run(capsys, "scan", "gaac", "--max", "20", "--checkpoint", str(ck), "--jobs", "1")
+        written = ck.read_bytes()
+        code, out, err = run(capsys, "scan", "gaac", "--max", "20", "--jobs", "1")
+        assert code == 0 and ck.read_bytes() == written
+        assert out.encode() == written and "gaac scan: counted=" in err
 
 
 class TestScanCommand:
@@ -318,6 +390,7 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "aactk", "verify", "aac", "--p", "5"],
             capture_output=True,
             text=True,
+            env=CHILD_ENV,
         )
         assert proc.returncode == 0
         rec = json.loads(proc.stdout)
@@ -326,12 +399,32 @@ class TestModuleEntryPoint:
 
 class TestPrecisionOverride:
     def test_env_var_controls_default_dps(self, monkeypatch):
-        from aactk import quadfield
-
         monkeypatch.setenv("AACTK_DPS", "80")
         assert quadfield._default_dps() == 80
         monkeypatch.delenv("AACTK_DPS")
         assert quadfield._default_dps() == 50
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "15", "", "16.5"])
+    def test_env_var_below_a_double_or_not_an_integer(self, monkeypatch, value):
+        monkeypatch.setenv("AACTK_DPS", value)
+        with pytest.raises(OutOfRange, match="AACTK_DPS"):
+            quadfield._default_dps()
+
+    def test_env_var_accepts_16_and_up(self, monkeypatch):
+        for value in (16, 80):
+            monkeypatch.setenv("AACTK_DPS", str(value))
+            assert quadfield._default_dps() == value
+
+    def test_bad_env_var_exit_2_for_every_command(self, capsys, monkeypatch):
+        monkeypatch.setenv("AACTK_DPS", "abc")
+        for argv in (
+            ["class-number", "--disc", "229"],
+            ["verify", "aac", "--p", "13"],
+            ["scan", "gaac", "--max", "20", "--jobs", "1"],
+            ["unit", "--d", "13"],
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and "AACTK_DPS" in err, argv
 
     def test_internal_failure_exit_4(self, capsys, monkeypatch):
         def broken(p):

@@ -118,6 +118,19 @@ class TestVerifyThm51:
             cg.verify_thm51(13, 3)
 
 
+def test_thm21_and_thm51_need_no_products(monkeypatch):
+    # both read only the partition; A and B are verify_aac's alone
+    want21 = repr(cg.verify_thm21(13, [1, 3, 4, 9, 10, 12], [2, 5, 6, 7, 8, 11]))
+    want51 = repr(cg.verify_thm51(13, 2))
+
+    def no_products(p):
+        raise AssertionError("residue_sets called")
+
+    monkeypatch.setattr(modmath, "residue_sets", no_products)
+    assert repr(cg.verify_thm21(13, [1, 3, 4, 9, 10, 12], [2, 5, 6, 7, 8, 11])) == want21
+    assert repr(cg.verify_thm51(13, 2)) == want51
+
+
 class TestVerifyCor53:
     def test_hand_anchor_with_flag(self):
         r = cg.verify_cor53(5, 2)

@@ -1,8 +1,10 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
+import aactk
 from aactk import scan
 from aactk.errors import OutOfRange, PreconditionViolation
 
@@ -41,6 +43,7 @@ def test_resumed_refuses_a_block_that_straddles_the_range():
 def test_process_pool_is_imported_only_for_a_pool():
     # serial runs, the common case, do not pay for concurrent.futures
     code = "import sys, aactk, aactk.cli; print(any(m.startswith('concurrent') for m in sys.modules))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(aactk.__file__))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
