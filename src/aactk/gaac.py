@@ -114,7 +114,10 @@ def count_squarefree_n2m1_in(lo: int, hi: int) -> int:
         p2 = p * p
         for r in (1, p2 - 1):
             first = (r - lo) % p2
-            bad[first::p2] = b"\x01" * len(range(first, size, p2))
+            if p2 < size:
+                bad[first::p2] = b"\x01" * len(range(first, size, p2))
+            elif first < size:
+                bad[first] = 1  # p^2 >= size: the class holds at most one n of the block
     return bad.count(0)
 
 

@@ -20,6 +20,7 @@ PrimeModulus; ints are validated once through a cached primality check.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -118,7 +119,8 @@ def primes_in(lo: int, hi: int) -> list[int]:
         if sieve[q]:
             start = q * q
             sieve[start : hi + 1 : q] = b"\x00" * ((hi - start) // q + 1)
-    return [n for n in range(max(lo, 2), hi + 1) if sieve[n]]
+    lo = max(lo, 2)
+    return list(itertools.compress(range(lo, hi + 1), sieve[lo:]))
 
 
 def legendre(a: int, p) -> int:

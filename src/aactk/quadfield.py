@@ -2,7 +2,14 @@
 
 Continued fractions of sqrt(D), fundamental units of Q(sqrt(p)) in the
 (t + u*sqrt(p))/2 normalization, least Pell solutions, regulators, and
-class numbers by two independent routes:
+class numbers by two independent routes.
+
+Every unit comes from one continued-fraction walk, _cf_period(disc): one
+period of (sigma + sqrt(disc))/2, sigma = disc mod 2, whose last
+convergent gives the fundamental unit (t + u*sqrt(disc))/2 of the order
+of discriminant disc.  fundamental_unit(p) and class_number_dirichlet(d)
+walk disc = p or d; pell_min_solution(D) and cf_sqrt(D) walk disc = 4D,
+where (0 + sqrt(4D))/2 = sqrt(D).  The class numbers:
 
   * class_number_dirichlet: the analytic formula with L(1,chi) evaluated
     by the exact finite log-sine sum (fundamental discriminants only);
@@ -91,112 +98,79 @@ class QuadForm:
         return self.b * self.b - 4 * self.a * self.c
 
 
-def _require_nonsquare(D: int) -> int:
+def _require_nonsquare(D: int) -> None:
     if D < 2:
         raise OutOfRange(f"D = {D} must be >= 2")
-    s = math.isqrt(D)
-    if s * s == D:
+    if math.isqrt(D) ** 2 == D:
         raise PerfectSquare(f"D = {D} is a perfect square")
-    return s
+
+
+def _cf_period(disc: int) -> tuple[list[int], int, int, int]:
+    """One period of the continued fraction of omega = (sigma + sqrt(disc))/2.
+
+    disc > 0 is a nonsquare discriminant (0 or 1 mod 4) and sigma = disc
+    mod 2, so omega generates the order of discriminant disc.  The
+    complete quotients (P + sqrt(disc))/Q start from (sigma, 2), and Q
+    returns to 2 exactly at the end of each period (Cohen, A Course in
+    Computational Algebraic Number Theory, 5.7).  Returns
+    (quotients, t, u, norm): quotients is a0 and the l terms of the
+    period, the last of them 2*a0 - sigma; p/q is the convergent before
+    that last term, and eps = p - q*conj(omega) = (t + u*sqrt(disc))/2
+    with t = 2p - sigma*q, u = q is the fundamental unit of the order,
+    of norm (-1)^l.  Raises ComputationBug unless t^2 - disc*u^2 = 4*norm.
+    """
+    s = math.isqrt(disc)
+    sigma = disc % 2
+    P, Q = sigma, 2
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    quotients = []
+    while True:
+        a = (P + s) // Q
+        quotients.append(a)
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        P = a * Q - P
+        Q = (disc - P * P) // Q
+        if Q == 2:
+            break
+    quotients.append((P + s) // 2)
+    t, u, norm = 2 * p - sigma * q, q, (-1) ** (len(quotients) - 1)
+    if t * t - disc * u * u != 4 * norm:
+        raise ComputationBug(f"disc = {disc}: ({t}, {u}) is not a unit of norm {norm}")
+    return quotients, t, u, norm
 
 
 def cf_sqrt(D: int) -> CFExpansion:
-    """Continued fraction of sqrt(D) by the exact PQa recurrence."""
-    a0 = _require_nonsquare(D)
-    period = []
-    P, Q = a0, D - a0 * a0
-    start = (P, Q)
-    while True:
-        a = (a0 + P) // Q
-        period.append(a)
-        P = a * Q - P
-        Q = (D - P * P) // Q
-        if (P, Q) == start:
-            break
-    return CFExpansion(D=D, a0=a0, period=tuple(period))
-
-
-def _first_period_convergent(D: int) -> tuple[int, int, int]:
-    """(h, k, l): the convergent at the end of the first period of sqrt(D).
-
-    l is the period length and h^2 - D k^2 = (-1)^l.
-    """
-    cf = cf_sqrt(D)
-    h_prev, h = 1, cf.a0
-    k_prev, k = 0, 1
-    for a in cf.period[:-1]:
-        h_prev, h = h, a * h + h_prev
-        k_prev, k = k, a * k + k_prev
-    return h, k, len(cf.period)
+    """Continued fraction of sqrt(D): the period of (0 + sqrt(4D))/2."""
+    _require_nonsquare(D)
+    quotients = _cf_period(4 * D)[0]
+    return CFExpansion(D=D, a0=quotients[0], period=tuple(quotients[1:]))
 
 
 def pell_min_solution(D: int) -> PellSolution:
-    """Least solution of u^2 - D v^2 = 1, from the continued fraction.
+    """Least solution of u^2 - D v^2 = 1, from the unit of discriminant 4D.
 
-    When the first-period convergent has norm -1 (odd period) the
-    solution is its square.
+    The walk gives (x + y*sqrt(D)) with x = t/2, y = u; when its norm is
+    -1 (odd period) the least solution is its square.
     """
     _require_nonsquare(D)
-    h, k, ell = _first_period_convergent(D)
-    if ell % 2 == 0:
-        return PellSolution(D=D, u1=h, v1=k)
-    return PellSolution(D=D, u1=h * h + D * k * k, v1=2 * h * k)
-
-
-def _icbrt(n: int) -> int:
-    """Floor integer cube root."""
-    if n < 0:
-        raise OutOfRange("negative argument")
-    if n == 0:
-        return 0
-    x = 1 << ((n.bit_length() + 2) // 3 + 1)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            break
-        x = y
-    while x * x * x > n:
-        x -= 1
-    return x
-
-
-def _unit_with_norm4(D: int) -> tuple[int, int, int]:
-    """Minimal (t, u, norm) with t^2 - D u^2 = 4*norm for squarefree D = 1 mod 4.
-
-    The minimal solution of x^2 - D y^2 = +-1 gives the fundamental unit
-    of Z[sqrt(D)]; the fundamental unit of the maximal order is either
-    that (t = 2x, u = 2y) or, when the unit index is 3, a half-integral
-    cube root with t, u odd.  The cube root is found exactly: its u
-    coordinate is the unique positive root of D u^3 + 3*norm*u = 2 y1.
-    """
-    x1, y1, ell = _first_period_convergent(D)
-    nsign = -1 if ell % 2 else 1
-    target = 2 * y1
-    c = _icbrt(target // D)
-    for u in range(max(1, c - 2), c + 4):
-        if u % 2 == 0:
-            continue
-        if D * u**3 + 3 * nsign * u != target:
-            continue
-        tt = D * u * u + 4 * nsign
-        t = math.isqrt(tt)
-        if t * t != tt or t % 2 == 0:
-            continue
-        if t * (D * u * u + nsign) == 2 * x1:
-            return t, u, nsign
-    return 2 * x1, 2 * y1, nsign
+    _, t, y, norm = _cf_period(4 * D)
+    x = t // 2
+    if norm == 1:
+        return PellSolution(D=D, u1=x, v1=y)
+    return PellSolution(D=D, u1=x * x + D * y * y, v1=2 * x * y)
 
 
 def fundamental_unit(p) -> FundamentalUnit:
     """Fundamental unit eps = (t + u*sqrt(p))/2 of Q(sqrt(p)), p prime = 1 mod 4.
 
-    Found from the continued fraction of sqrt(p), descending to the
-    half-integral (t, u odd) unit when one exists.  For these p the norm
-    is always -1.
+    Read off one period of the continued fraction of (1 + sqrt(p))/2,
+    which gives the half-integral (t, u odd) unit directly when one
+    exists.  For these p the norm is always -1.
     """
     p = modmath.require_1mod4(p)
-    t, u, nsign = _unit_with_norm4(p)
-    return FundamentalUnit(p=p, t=t, u=u, norm_sign=nsign)
+    _, t, u, norm = _cf_period(p)
+    return FundamentalUnit(p=p, t=t, u=u, norm_sign=norm)
 
 
 def _ln_big(n: int) -> float:
@@ -240,16 +214,6 @@ def is_fundamental_discriminant(d: int) -> bool:
         m = d // 4
         return m % 4 in (2, 3) and modmath.squarefree(m)
     return False
-
-
-def _unit_of_discriminant(d: int) -> tuple[int, int, int]:
-    """(a, b, norm) with eps_d = (a + b*sqrt(d))/2 fundamental for discriminant d."""
-    if d % 4 == 1:
-        return _unit_with_norm4(d)
-    D = d // 4
-    x1, y1, ell = _first_period_convergent(D)
-    nsign = -1 if ell % 2 else 1
-    return 2 * x1, y1, nsign
 
 
 # The least mpmath precision above a double's 53 bits: with fewer digits the
@@ -308,16 +272,18 @@ def class_number_dirichlet(d: int) -> int:
         L(1,chi) = -(1/sqrt(d)) * sum_{a=1}^{d-1} chi(a) log sin(pi a / d),
     summed over a < d/2 and doubled (chi is even for d > 0, and the sine
     is symmetric about d/2), and divides sqrt(d)*L(1,chi) by the
-    regulator of the totally positive fundamental unit (2 log eps_d when
-    eps_d has norm -1, as it does for every prime p = 1 mod 4).  Rounds to the nearest integer and demands
-    a rounding distance < 0.25, retrying once in software extended
-    precision before raising PrecisionLoss.
+    regulator of the totally positive fundamental unit: eps_d and its
+    norm come from the continued-fraction walk over (sigma + sqrt(d))/2,
+    and the regulator is 2 log eps_d when eps_d has norm -1, as it does
+    for every prime p = 1 mod 4.  Rounds to the nearest integer and
+    demands a rounding distance < 0.25, retrying once in software
+    extended precision before raising PrecisionLoss.
     """
     if not is_fundamental_discriminant(d):
         raise BadDiscriminant(f"{d} is not a positive fundamental discriminant")
-    a, b, nsign = _unit_of_discriminant(d)
-    log_eps = _ln_half_quad(a, b, d)
-    log_plus = 2 * log_eps if nsign == -1 else log_eps
+    _, t, u, norm = _cf_period(d)
+    log_eps = _ln_half_quad(t, u, d)
+    log_plus = 2 * log_eps if norm == -1 else log_eps
 
     def _round_strict(lsum: float) -> int | None:
         h_real = -lsum / log_plus
@@ -332,25 +298,6 @@ def class_number_dirichlet(d: int) -> int:
         if h is None:
             raise PrecisionLoss(f"d = {d}: analytic class number failed to round")
     return h
-
-
-def l_series_estimate(d: int, terms: int | None = None) -> tuple[float, float]:
-    """Truncated Dirichlet series for L(1,chi) with an explicit tail bound.
-
-    Cross-check estimator only: returns (sum_{n<=terms} chi(n)/n, bound)
-    where the partial-summation tail is at most max|S(x)| / terms and
-    |S(x)| <= d trivially.
-    """
-    if not is_fundamental_discriminant(d):
-        raise BadDiscriminant(f"{d} is not a positive fundamental discriminant")
-    if terms is None:
-        terms = 200 * d
-    total = 0.0
-    for n in range(1, terms + 1):
-        chi = modmath.kronecker(d, n)
-        if chi:
-            total += chi / n
-    return total, d / terms
 
 
 def _is_reduced(a: int, b: int, disc: int) -> bool:

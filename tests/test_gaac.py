@@ -14,6 +14,18 @@ def squarefree_oracle(m):
     return all(e == 1 for e in sympy.factorint(m).values())
 
 
+def per_n_count(lo, hi):
+    """Count n in [lo, hi] with n^2 - 1 squarefree, one n at a time.
+
+    Odd n has 8 | n^2 - 1; for even n, n - 1 and n + 1 are coprime.
+    """
+    return sum(
+        1
+        for n in range(lo, hi + 1)
+        if n % 2 == 0 and gaac.squarefree(n - 1) and gaac.squarefree(n + 1)
+    )
+
+
 class TestGaacCheck:
     def test_small_cases(self):
         v = gaac.gaac_check(3)
@@ -119,13 +131,6 @@ class TestDensityCount:
             assert gaac.count_squarefree_n2m1(x).count == direct, x
 
     def test_range_sieve_matches_per_n_on_random_blocks(self):
-        def direct(lo, hi):
-            return sum(
-                1
-                for n in range(lo, hi + 1)
-                if n % 2 == 0 and gaac.squarefree(n - 1) and gaac.squarefree(n + 1)
-            )
-
         rng = random.Random(20230406)
         blocks = [(2, 2), (2, 3), (3, 3), (3, 4), (2, 1), (50, 49)]
         blocks += [(lo, lo + rng.randrange(1, 40)) for lo in (2, 3)]
@@ -133,9 +138,17 @@ class TestDensityCount:
             lo = rng.randrange(2, 50_000)
             blocks.append((lo, lo + rng.randrange(0, 1500)))
         for lo, hi in blocks:
-            assert gaac.count_squarefree_n2m1_in(lo, hi) == direct(lo, hi), (lo, hi)
+            assert gaac.count_squarefree_n2m1_in(lo, hi) == per_n_count(lo, hi), (lo, hi)
         with pytest.raises(OutOfRange):
             gaac.count_squarefree_n2m1_in(1, 10)
+
+    @pytest.mark.parametrize("p2", [9, 25, 49, 121])
+    def test_block_sizes_either_side_of_a_prime_square(self, p2):
+        # a block of size <= p^2 holds at most one n of each class mod p^2
+        for size in (p2 - 1, p2, p2 + 1):
+            for lo in (2, 3, p2 - 1, p2, p2 + 2, 1000, 9_998, 49_999, 150_001):
+                hi = lo + size - 1
+                assert gaac.count_squarefree_n2m1_in(lo, hi) == per_n_count(lo, hi), (lo, hi)
 
     def test_inclusion_exclusion_exact_at_full_cutoff(self):
         for x in (10, 50, 200, 1000):

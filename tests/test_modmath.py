@@ -61,6 +61,15 @@ class TestPrimality:
     def test_primes_in(self):
         assert modmath.primes_in(5, 20) == [5, 7, 11, 13, 17, 19]
         assert modmath.primes_in(10, 3) == []
+        assert modmath.primes_in(3, 2) == []
+        assert modmath.primes_in(-5, 10) == [2, 3, 5, 7]
+        assert modmath.primes_in(0, 2) == modmath.primes_in(1, 2) == [2]
+        assert modmath.primes_in(2, 2) == [2]
+        assert modmath.primes_in(-3, 1) == []
+        assert modmath.primes_in(97, 97) == [97]
+        assert modmath.primes_in(91, 91) == []
+        for lo, hi in ((0, 500), (89, 97), (90, 96), (400, 420)):
+            assert modmath.primes_in(lo, hi) == [n for n in range(lo, hi + 1) if modmath.is_prime(n)]
 
     def test_prime_modulus_accepted_everywhere(self):
         pm = modmath.PrimeModulus.of(13)

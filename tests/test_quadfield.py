@@ -24,6 +24,100 @@ def brute_fundamental_unit(p, u_limit=10**6):
     raise AssertionError("oracle exhausted")
 
 
+def reference_cf_sqrt(D):
+    """Oracle: (a0, period) of sqrt(D) by the PQa recurrence, stopping when (P, Q) recurs."""
+    a0 = math.isqrt(D)
+    period = []
+    P, Q = a0, D - a0 * a0
+    start = (P, Q)
+    while True:
+        a = (a0 + P) // Q
+        period.append(a)
+        P = a * Q - P
+        Q = (D - P * P) // Q
+        if (P, Q) == start:
+            return a0, tuple(period)
+
+
+def reference_convergent(D):
+    """Oracle: (h, k, l), the convergent h/k at the end of the first period of sqrt(D).
+
+    l is the period length and h^2 - D k^2 = (-1)^l.
+    """
+    a0, period = reference_cf_sqrt(D)
+    h_prev, h = 1, a0
+    k_prev, k = 0, 1
+    for a in period[:-1]:
+        h_prev, h = h, a * h + h_prev
+        k_prev, k = k, a * k + k_prev
+    return h, k, len(period)
+
+
+def reference_pell(D):
+    """Oracle: least (u1, v1) with u1^2 - D v1^2 = 1, squaring a norm -1 convergent."""
+    h, k, ell = reference_convergent(D)
+    if ell % 2 == 0:
+        return h, k
+    return h * h + D * k * k, 2 * h * k
+
+
+def icbrt(n):
+    """Floor integer cube root of n >= 0."""
+    if n == 0:
+        return 0
+    x = 1 << ((n.bit_length() + 2) // 3 + 1)
+    while True:
+        y = (2 * x + n // (x * x)) // 3
+        if y >= x:
+            break
+        x = y
+    while x * x * x > n:
+        x -= 1
+    return x
+
+
+def reference_unit(d):
+    """Oracle: (t, u, norm) of the fundamental unit (t + u sqrt(d))/2 of discriminant d.
+
+    For d = 0 mod 4 it is the convergent of sqrt(d/4).  For d = 1 mod 4
+    the convergent of sqrt(d) gives the unit of Z[sqrt(d)]; the unit of
+    the maximal order is either that (t = 2x, u = 2y) or, when the unit
+    index is 3, a half-integral cube root with t, u odd, whose u is the
+    positive root of d u^3 + 3*norm*u = 2y.
+    """
+    if d % 4 == 0:
+        x1, y1, ell = reference_convergent(d // 4)
+        return 2 * x1, y1, (-1) ** ell
+    x1, y1, ell = reference_convergent(d)
+    nsign = (-1) ** ell
+    target = 2 * y1
+    c = icbrt(target // d)
+    for u in range(max(1, c - 2), c + 4):
+        if u % 2 == 0 or d * u**3 + 3 * nsign * u != target:
+            continue
+        tt = d * u * u + 4 * nsign
+        t = math.isqrt(tt)
+        if t * t == tt and t % 2 == 1 and t * (d * u * u + nsign) == 2 * x1:
+            return t, u, nsign
+    return 2 * x1, 2 * y1, nsign
+
+
+def l_series_estimate(d, terms=None):
+    """Oracle: truncated Dirichlet series for L(1,chi) with an explicit tail bound.
+
+    Returns (sum_{n<=terms} chi(n)/n, bound), where the partial-summation
+    tail is at most max|S(x)| / terms and |S(x)| <= d trivially.
+    """
+    if terms is None:
+        terms = 200 * d
+    total = 0.0
+    for n in range(1, terms + 1):
+        chi = modmath.kronecker(d, n)
+        if chi:
+            total += chi / n
+    return total, d / terms
+
+
 def brute_pell(D, v_limit):
     for v in range(1, v_limit + 1):
         uu = 1 + D * v * v
@@ -125,13 +219,24 @@ class TestContinuedFraction:
             cf = quadfield.cf_sqrt(D)
             assert cf.period[-1] == 2 * cf.a0, D
 
-    def test_first_period_convergent_unit_to_1e4(self):
-        # the convergent at the end of the first period solves x^2 - D y^2 = +-1
-        for D in range(2, 10_001):
+    def test_walk_norm_identity_to_1e4(self):
+        # the unit read at the end of the first period has norm (-1)^l
+        for disc in range(5, 10_001):
+            if disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
+                continue
+            quotients, t, u, norm = quadfield._cf_period(disc)
+            assert t > 0 and u > 0, disc
+            assert norm == (-1) ** (len(quotients) - 1), disc
+            assert t * t - disc * u * u == 4 * norm, disc
+
+    def test_cf_sqrt_and_pell_match_reference_to_4000(self):
+        for D in range(2, 4001):
             if math.isqrt(D) ** 2 == D:
                 continue
-            h, k, ell = quadfield._first_period_convergent(D)
-            assert h * h - D * k * k == (-1) ** ell, D
+            cf = quadfield.cf_sqrt(D)
+            assert (cf.a0, cf.period) == reference_cf_sqrt(D), D
+            s = quadfield.pell_min_solution(D)
+            assert (s.u1, s.v1) == reference_pell(D), D
 
 
 class TestPell:
@@ -186,7 +291,7 @@ class TestFundamentalUnit:
         assert (u.t, u.u, u.norm_sign) == (5, 1, -1)
 
     def test_half_integral_and_integral_cases(self):
-        # p = 61 keeps odd coordinates; p = 37 and 41 fall back to 2x, 2y
+        # p = 61 has odd coordinates; the units of p = 37 and 41 lie in Z[sqrt(p)]
         u = quadfield.fundamental_unit(61)
         assert (u.t, u.u) == (39, 5)
         u = quadfield.fundamental_unit(37)
@@ -212,6 +317,15 @@ class TestFundamentalUnit:
     def test_requires_1_mod_4(self):
         with pytest.raises(WrongResidueClass):
             quadfield.fundamental_unit(7)
+
+    def test_units_match_reference(self):
+        for p in modmath.primes_in(5, 20_000):
+            if p % 4 == 1:
+                u = quadfield.fundamental_unit(p)
+                assert (u.t, u.u, u.norm_sign) == reference_unit(p), p
+        for d in range(5, 4001):
+            if quadfield.is_fundamental_discriminant(d):
+                assert quadfield._cf_period(d)[1:] == reference_unit(d), d
 
 
 class TestRegulator:
@@ -301,7 +415,7 @@ class TestClassNumbers:
     def test_l_series_estimate_brackets_exact(self):
         for d in (5, 13, 40, 229):
             exact = -quadfield._lsum_float(d) / math.sqrt(d)
-            approx, bound = quadfield.l_series_estimate(d)
+            approx, bound = l_series_estimate(d)
             assert abs(approx - exact) <= bound, d
 
     def test_extended_precision_fallback(self, monkeypatch):
