@@ -319,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--z", type=int, default=1000, help="density partial-product cutoff")
     s.add_argument("--block", type=int, default=1000, help="density block size")
     s.add_argument("--checkpoint", type=str, help="append-only record file")
-    s.add_argument("--jobs", type=int, help="parallel workers (default: cpu count)")
+    s.add_argument("--jobs", type=int, help="parallel workers, at most the cpu count (default: cpu count)")
     s.set_defaults(func=_run_scan)
 
     r = sub.add_parser("report", help="re-render a checkpoint file")

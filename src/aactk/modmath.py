@@ -110,12 +110,24 @@ def as_prime(p) -> int:
 
 
 def primes_in(lo: int, hi: int) -> list[int]:
-    """All primes in [lo, hi], by sieve."""
+    """All primes in [lo, hi], by sieve.
+
+    A window above sqrt(hi) sieves only [lo, hi], crossing off the
+    multiples of the primes up to isqrt(hi), so memory follows the width
+    of the window rather than hi.  Lower windows sieve all of [0, hi].
+    """
     if hi < 2 or hi < lo:
         return []
+    root = math.isqrt(hi)
+    if lo > root:
+        window = bytearray(b"\x01") * (hi - lo + 1)
+        for q in primes_in(2, root):
+            start = -(-lo // q) * q
+            window[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
+        return list(itertools.compress(range(lo, hi + 1), window))
     sieve = bytearray(b"\x01") * (hi + 1)
     sieve[0:2] = b"\x00\x00"
-    for q in range(2, math.isqrt(hi) + 1):
+    for q in range(2, root + 1):
         if sieve[q]:
             start = q * q
             sieve[start : hi + 1 : q] = b"\x00" * ((hi - start) // q + 1)

@@ -17,15 +17,17 @@ where (0 + sqrt(4D))/2 = sqrt(D).  The class numbers:
     quadratic forms under the rho operator (any positive nonsquare
     discriminant, proper/SL2 equivalence).
 
-The reduced forms (a, b, c) of discriminant disc have |a| and |c| in the
-window ceil((s+1-b)/2) .. floor((s+b)/2), s = isqrt(disc), and both lie
-in it or neither does, because (sqrt(disc)-b)(sqrt(disc)+b) = 4|a||c|.
+A binary quadratic form a x^2 + b xy + c y^2 is the int tuple (a, b, c)
+throughout: reduced_forms returns them and the rho step walks them.  The
+reduced forms of discriminant disc have |a| and |c| in the window
+ceil((s+1-b)/2) .. floor((s+b)/2), s = isqrt(disc), and both lie in it
+or neither does, because (sqrt(disc)-b)(sqrt(disc)+b) = 4|a||c|.
 reduced_forms therefore needs only the divisors of each (disc - b^2)/4
-that fall in the window, and reads them off a factorization from a
-smallest-prime-factor table: a module-level array built on first use and
-grown by doubling, 4 bytes per integer up to the largest disc/4 seen,
-capped at 2^22 entries (16 MiB); larger cofactors are split by trial
-division over the table's primes.
+that fall in the window; _divisors_in multiplies them out prime by
+prime, reading the primes from a smallest-prime-factor table: a
+module-level array built on first use and grown by doubling, 4 bytes per
+integer up to the largest disc/4 seen, capped at 2^22 entries (16 MiB).
+Cofactors at or above the table are split by trial division.
 
 Both return the number of proper form classes; for every discriminant
 whose fundamental unit has norm -1 (in particular every prime
@@ -84,18 +86,6 @@ class PellSolution:
     D: int
     u1: int
     v1: int
-
-
-@dataclass(frozen=True)
-class QuadForm:
-    """Primitive integral binary quadratic form a x^2 + b xy + c y^2."""
-
-    a: int
-    b: int
-    c: int
-
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
 
 
 def _require_nonsquare(D: int) -> None:
@@ -337,45 +327,33 @@ def _spf_table(limit: int) -> array:
     return spf
 
 
-def _factor(n: int, spf: array) -> list[tuple[int, int]]:
-    """Prime factorization [(p, e), ...] of n >= 1, ascending, using the table spf.
+def _divisors_in(n: int, lo: int, hi: int, spf: array) -> list[int]:
+    """The divisors d of n >= 1 with lo <= d <= hi, ascending.
 
-    A cofactor at or above len(spf) is split by trial division over the
-    table's primes (then over all integers, past the table) until it
-    drops into the table or is shown prime.
+    Each prime q of n is read from the smallest-prime-factor table spf
+    while n < len(spf).  At or above the table the next prime is found by
+    trial division, over the table's primes and then over every integer
+    past the table, until n drops into the table or is shown prime.  The
+    divisors are multiplied out one power of q at a time, and a divisor
+    above hi // q is not carried up to the next power.
     """
-    factors = []
+    divs = [1]
     size = len(spf)
-    q = 2
-    while n >= size:
-        if q * q > n:
-            return factors + [(n, 1)]
-        if q >= size or spf[q] == q:
-            e = 0
-            while n % q == 0:
-                n //= q
-                e += 1
-            if e:
-                factors.append((q, e))
-        q += 1
+    trial = 2
     while n > 1:
-        q = spf[n]
-        n //= q
-        e = 1
+        if n < size:
+            q = spf[n]
+        else:
+            q = n
+            while trial * trial <= n:
+                if (trial >= size or spf[trial] == trial) and n % trial == 0:
+                    q = trial
+                    break
+                trial += 1
+        bound = hi // q
+        step = divs
         while n % q == 0:
             n //= q
-            e += 1
-        factors.append((q, e))
-    return factors
-
-
-def _divisors_in(n: int, lo: int, hi: int, spf: array) -> list[int]:
-    """The divisors d of n >= 1 with lo <= d <= hi, ascending."""
-    divs = [1]
-    for q, e in _factor(n, spf):
-        step = divs
-        bound = hi // q
-        for _ in range(e):
             step = [d * q for d in step if d <= bound]
             divs += step
     found = [d for d in divs if d >= lo]
@@ -383,10 +361,11 @@ def _divisors_in(n: int, lo: int, hi: int, spf: array) -> list[int]:
     return found
 
 
-def reduced_forms(disc: int) -> list[QuadForm]:
+def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     """All reduced primitive indefinite forms of positive nonsquare discriminant.
 
-    (a, b, c) is reduced when 0 < b < sqrt(disc) and
+    Each form a x^2 + b xy + c y^2 is returned as the tuple (a, b, c).
+    It is reduced when 0 < b < sqrt(disc) and
     sqrt(disc) - b < 2|a| < sqrt(disc) + b.  With s = isqrt(disc) and
     disc nonsquare this is exactly ceil((s+1-b)/2) <= |a| <= floor((s+b)/2),
     and since (sqrt(disc) - b)(sqrt(disc) + b) = 4|a||c|, |a| lies in that
@@ -416,7 +395,7 @@ def reduced_forms(disc: int) -> list[QuadForm]:
                     raise ComputationBug(f"disc = {disc}: ({aa}, {b}) is not reduced")
                 c = n // aa
                 if math.gcd(aa, b, c) == 1:
-                    forms += (QuadForm(aa, b, -c), QuadForm(-aa, b, c))
+                    forms += ((aa, b, -c), (-aa, b, c))
     return forms
 
 
@@ -431,9 +410,9 @@ def form_class_number(disc: int) -> int:
     """Number of rho-cycles of reduced forms = proper form class number h(disc).
 
     The reduced forms come from reduced_forms (see there for the window
-    bound and the factor table); the cycles are walked on (a, b, c) tuples.
+    bound and the factor table).
     """
-    remaining = {(f.a, f.b, f.c) for f in reduced_forms(disc)}
+    remaining = set(reduced_forms(disc))
     s = math.isqrt(disc)
     cycles = 0
     while remaining:

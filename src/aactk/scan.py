@@ -14,6 +14,7 @@ installed on, say, `gaac.gaac_check` sees every scanned item.
 from __future__ import annotations
 
 import math
+import os
 from typing import Iterator
 
 from . import congruences, gaac, modmath, quadfield
@@ -95,16 +96,19 @@ def resumed(kind: str, lo: int, hi: int, items: list, records: list[dict]) -> di
 def run(kind: str, items: list, jobs: int = 1) -> Iterator[dict]:
     """The records of `items`, in their order, each yielded once computed.
 
-    With jobs > 1 and enough items a pool of `jobs` processes computes
-    them; the output is the same as with jobs = 1.
+    With jobs > 1, more than one CPU and enough items, a pool of
+    min(jobs, cpu count) processes computes them (a pool starts all its
+    workers at once, so jobs beyond the CPUs would only add processes);
+    the output is the same as with jobs = 1.
     """
     worker = KINDS[kind][0]
-    if jobs > 1 and len(items) >= _PARALLEL_THRESHOLD:
+    workers = min(jobs, os.cpu_count() or 1) if jobs > 1 else 1
+    if workers > 1 and len(items) >= _PARALLEL_THRESHOLD:
         # Imported here: the pool machinery costs every serial run memory
         # and start-up time.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            yield from pool.map(worker, items, chunksize=max(1, len(items) // (jobs * 8)))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            yield from pool.map(worker, items, chunksize=max(1, len(items) // (workers * 8)))
     else:
         yield from map(worker, items)

@@ -68,8 +68,21 @@ class TestPrimality:
         assert modmath.primes_in(-3, 1) == []
         assert modmath.primes_in(97, 97) == [97]
         assert modmath.primes_in(91, 91) == []
-        for lo, hi in ((0, 500), (89, 97), (90, 96), (400, 420)):
+        for lo, hi in ((0, 500), (89, 97), (90, 96), (400, 420), (2, 3), (7, 48), (49, 2401), (50, 2500)):
             assert modmath.primes_in(lo, hi) == [n for n in range(lo, hi + 1) if modmath.is_prime(n)]
+
+    def test_primes_in_a_high_window_sieves_only_the_window(self):
+        import tracemalloc
+
+        lo, hi = 10**9, 10**9 + 10**4
+        tracemalloc.start()
+        try:
+            primes = modmath.primes_in(lo, hi)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert primes == [n for n in range(lo, hi + 1) if modmath.is_prime(n)]
+        assert peak < 2**20
 
     def test_prime_modulus_accepted_everywhere(self):
         pm = modmath.PrimeModulus.of(13)

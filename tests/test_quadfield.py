@@ -147,18 +147,19 @@ def reference_reduced_forms(disc):
                 for a in (aa, -aa):
                     c = -(n // a) if a > 0 else n // -a
                     if math.gcd(math.gcd(a, b), c) == 1:
-                        forms.append(quadfield.QuadForm(a=a, b=b, c=c))
+                        forms.append((a, b, c))
         b += 2
     return forms
 
 
 def reference_class_number(disc):
-    """Oracle: rho-cycles of reference_reduced_forms, one QuadForm per step."""
+    """Oracle: rho-cycles of reference_reduced_forms, one (a, b, c) tuple per step."""
     s = math.isqrt(disc)
 
     def rho(f):
-        b2 = s - (s + f.b) % (2 * abs(f.c))
-        return quadfield.QuadForm(a=f.c, b=b2, c=(b2 * b2 - disc) // (4 * f.c))
+        _, b, c = f
+        b2 = s - (s + b) % (2 * abs(c))
+        return c, b2, (b2 * b2 - disc) // (4 * c)
 
     remaining = set(reference_reduced_forms(disc))
     cycles = 0
@@ -398,13 +399,14 @@ class TestClassNumbers:
         for disc in (5, 40, 229, 316):
             forms = quadfield.reduced_forms(disc)
             s = math.isqrt(disc)
-            seen = {(f.a, f.b, f.c) for f in forms}
+            seen = set(forms)
             assert len(seen) == len(forms)
             for f in forms:
-                assert f.discriminant() == disc
-                assert quadfield._is_reduced(f.a, f.b, disc)
+                a, b, c = f
+                assert b * b - 4 * a * c == disc
+                assert quadfield._is_reduced(a, b, disc)
                 # rho stays inside the reduced set (it permutes it)
-                g = quadfield._rho((f.a, f.b, f.c), disc, s)
+                g = quadfield._rho(f, disc, s)
                 assert g in seen, (disc, f, g)
 
     def test_bound_check(self):
@@ -523,6 +525,11 @@ class TestFactorTable:
         assert len(table) == 64
         rng = random.Random(4)
         for n in [1, 2, 63, 64, 4096, 4097, 65_537, 2**20 * 3] + [rng.randrange(1, 10**9) for _ in range(200)]:
-            assert quadfield._factor(n, table) == sorted(sympy.factorint(n).items()), n
+            divisors = sympy.divisors(n)
+            assert quadfield._divisors_in(n, 1, n, table) == divisors, n
+            lo = rng.randrange(1, math.isqrt(n) + 1)
+            hi = rng.randrange(lo, n + 1)
+            window = [d for d in divisors if lo <= d <= hi]
+            assert quadfield._divisors_in(n, lo, hi, table) == window, (n, lo, hi)
         for disc in (5, 229, 4 * 1817, 20_001, 4 * 5_003):
             assert quadfield.reduced_forms(disc) == reference_reduced_forms(disc), disc

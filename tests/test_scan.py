@@ -47,3 +47,33 @@ def test_process_pool_is_imported_only_for_a_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
+    # a stub pool that records its size and maps serially, so no process starts
+    import concurrent.futures
+
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    items = scan.plan("gaac", 3, 200)
+    serial = list(scan.run("gaac", items, jobs=1))
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert list(scan.run("gaac", items, jobs=10**6)) == serial
+    assert started == [3]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert list(scan.run("gaac", items, jobs=10**6)) == serial
+    assert started == [3]
