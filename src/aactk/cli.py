@@ -204,6 +204,9 @@ def _run_verify(args) -> int:
 
 def _run_scan(args) -> int:
     kind = args.kind
+    jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
+    if jobs < 1:
+        raise PreconditionViolation(f"--jobs {jobs} is below 1")
     hi = args.x if (kind == "density" and args.x is not None) else args.max
     if hi is None:
         raise PreconditionViolation("scan needs --max (or --x for density)")
@@ -220,7 +223,7 @@ def _run_scan(args) -> int:
     t0 = time.monotonic()
     new_records = []
     try:
-        for rec in scan.run(kind, todo, args.jobs or os.cpu_count() or 1):
+        for rec in scan.run(kind, todo, jobs):
             out.write(_canonical(_with_crc(rec)) + "\n")
             out.flush()
             new_records.append(rec)
@@ -319,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--z", type=int, default=1000, help="density partial-product cutoff")
     s.add_argument("--block", type=int, default=1000, help="density block size")
     s.add_argument("--checkpoint", type=str, help="append-only record file")
-    s.add_argument("--jobs", type=int, help="parallel workers, at most the cpu count (default: cpu count)")
+    s.add_argument("--jobs", type=int, help="parallel workers, 1 to the cpu count (default: cpu count)")
     s.set_defaults(func=_run_scan)
 
     r = sub.add_parser("report", help="re-render a checkpoint file")

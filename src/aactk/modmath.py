@@ -145,6 +145,31 @@ def legendre(a: int, p) -> int:
     return 1 if r == 1 else -1
 
 
+def sqrt_mod(a: int, q: int) -> int | None:
+    """A root r in [0, q-1] of r^2 = a (mod q), or None if a is a non-residue.
+
+    q is an odd prime, not checked.  Tonelli-Shanks with q - 1 = t * 2^e,
+    t odd, and z a non-residue.
+    """
+    a %= q
+    if pow(a, (q - 1) // 2, q) != 1:  # Euler's criterion; 0 for a = 0
+        return None if a else 0
+    if q % 4 == 3:
+        return pow(a, (q + 1) // 4, q)
+    t, e = q - 1, 0
+    while t % 2 == 0:
+        t, e = t // 2, e + 1
+    z = next(z for z in itertools.count(2) if pow(z, (q - 1) // 2, q) != 1)
+    c, x, r = pow(z, t, q), pow(a, t, q), pow(a, (t + 1) // 2, q)
+    while x != 1:
+        i, y = 0, x
+        while y != 1:
+            i, y = i + 1, y * y % q
+        g = pow(c, 1 << (e - i - 1), q)
+        e, c, x, r = i, g * g % q, x * g * g % q, r * g % q
+    return r
+
+
 def require_nonresidue(n: int, p: int) -> None:
     """Raise unless n is a quadratic non-residue mod p in [2, p-1].
 

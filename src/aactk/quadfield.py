@@ -18,16 +18,12 @@ where (0 + sqrt(4D))/2 = sqrt(D).  The class numbers:
     discriminant, proper/SL2 equivalence).
 
 A binary quadratic form a x^2 + b xy + c y^2 is the int tuple (a, b, c)
-throughout: reduced_forms returns them and the rho step walks them.  The
-reduced forms of discriminant disc have |a| and |c| in the window
-ceil((s+1-b)/2) .. floor((s+b)/2), s = isqrt(disc), and both lie in it
-or neither does, because (sqrt(disc)-b)(sqrt(disc)+b) = 4|a||c|.
-reduced_forms therefore needs only the divisors of each (disc - b^2)/4
-that fall in the window; _divisors_in multiplies them out prime by
-prime, reading the primes from a smallest-prime-factor table: a
-module-level array built on first use and grown by doubling, 4 bytes per
-integer up to the largest disc/4 seen, capped at 2^22 entries (16 MiB).
-Cofactors at or above the table are split by trial division.
+throughout.  reduced_forms finds the reduced forms of one discriminant
+with one sieve: the smaller of |a|, |c| is a divisor d <= isqrt(disc)//2
+of (disc - b^2)/4, and for each such d the classes of b at which d
+divides it come from square roots mod the primes of d (modmath.sqrt_mod),
+walked only across the b whose reduced window holds d.  Nothing is kept
+between calls.
 
 Both return the number of proper form classes; for every discriminant
 whose fundamental unit has norm -1 (in particular every prime
@@ -41,7 +37,6 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -303,64 +298,6 @@ def _is_reduced(a: int, b: int, disc: int) -> bool:
     return True
 
 
-# _spf[n] is the smallest prime factor of n, for 2 <= n < len(_spf).  Built
-# on first use and grown by doubling to the largest n asked for, up to
-# _SPF_CAP entries (4 bytes each: 16 MiB at the cap).
-_SPF_CAP = 1 << 22
-_spf = array("I")
-
-
-def _spf_table(limit: int) -> array:
-    """The smallest-prime-factor table, grown to cover n <= limit if the cap allows."""
-    global _spf
-    if limit < len(_spf) or len(_spf) >= _SPF_CAP:
-        return _spf
-    size = max(len(_spf), 1024)
-    while size <= limit:
-        size *= 2
-    size = min(size, _SPF_CAP)
-    spf = array("I", range(size))
-    # larger primes first, so each entry ends on its smallest prime factor
-    for p in reversed(modmath.primes_in(2, math.isqrt(size - 1))):
-        spf[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
-    _spf = spf
-    return spf
-
-
-def _divisors_in(n: int, lo: int, hi: int, spf: array) -> list[int]:
-    """The divisors d of n >= 1 with lo <= d <= hi, ascending.
-
-    Each prime q of n is read from the smallest-prime-factor table spf
-    while n < len(spf).  At or above the table the next prime is found by
-    trial division, over the table's primes and then over every integer
-    past the table, until n drops into the table or is shown prime.  The
-    divisors are multiplied out one power of q at a time, and a divisor
-    above hi // q is not carried up to the next power.
-    """
-    divs = [1]
-    size = len(spf)
-    trial = 2
-    while n > 1:
-        if n < size:
-            q = spf[n]
-        else:
-            q = n
-            while trial * trial <= n:
-                if (trial >= size or spf[trial] == trial) and n % trial == 0:
-                    q = trial
-                    break
-                trial += 1
-        bound = hi // q
-        step = divs
-        while n % q == 0:
-            n //= q
-            step = [d * q for d in step if d <= bound]
-            divs += step
-    found = [d for d in divs if d >= lo]
-    found.sort()
-    return found
-
-
 def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     """All reduced primitive indefinite forms of positive nonsquare discriminant.
 
@@ -371,25 +308,61 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     and since (sqrt(disc) - b)(sqrt(disc) + b) = 4|a||c|, |a| lies in that
     window exactly when |c| does.  So for each b, with n = (disc - b^2)/4,
     the forms are the divisor pairs (d, n/d) of n with d <= sqrt(n) in the
-    window.  The divisors of n come from its factorization through a
-    smallest-prime-factor table (4 bytes per integer up to the largest
-    disc/4 seen, at most 16 MiB), about sqrt(disc)*d(n) lookups per disc
-    instead of trial division by every i <= sqrt(n).  Each form found is
-    still checked with _is_reduced, and kept only if primitive.  Forms
-    come in order of b, then of the smaller divisor, |a| before |c|, and
-    a > 0 before a < 0.
+    window, that is s + 1 - 2d <= b <= sqrt(disc - 4d^2); so
+    d <= isqrt(n) <= isqrt(disc/4) = s // 2, and no larger prime divides d.
+    One sieve over b = first + 2i finds them: d | n exactly when i is in
+    certain classes mod d, from b = +-sqrt_mod(disc, q) mod an odd prime q,
+    the parity of i for q = 2, lifting for a prime power and the Chinese
+    remainder theorem for the other d, each walked only across the
+    b-range of d.  Each form is still checked with _is_reduced, and kept
+    only if primitive.  Forms come in order of b, then of the smaller
+    divisor, |a| before |c|, and a > 0 before a < 0.
     """
     if disc <= 0 or disc % 4 not in (0, 1):
         raise BadDiscriminant(f"{disc} is not a discriminant (need 0 or 1 mod 4)")
     s = math.isqrt(disc)
     if s * s == disc:
         raise BadDiscriminant(f"{disc} is a perfect square")
-    spf = _spf_table(disc // 4)
+    first, half = 2 - disc % 2, s // 2
+
+    def n_at(i: int) -> int:
+        b = first + 2 * i
+        return (disc - b * b) // 4
+
+    classes = [None, [0]] + [None] * (half - 1)  # classes[d]: the i mod d with d | n_at(i)
+    for q in modmath.primes_in(2, half):
+        if q == 2:
+            cls = [i for i in (0, 1) if n_at(i) % 2 == 0]
+        else:
+            r = modmath.sqrt_mod(disc, q)
+            if r is None:
+                continue
+            cls = [(x - first) * (q + 1) // 2 % q for x in {r, -r % q}]
+        powers, qe = [], q  # (q^e, its classes) while there are any and q^e <= half
+        while cls:
+            powers.append((qe, cls))
+            if qe * q > half:
+                break
+            cls = [x + j * qe for x in cls for j in range(q) if n_at(x + j * qe) % (qe * q) == 0]
+            qe *= q
+        for d in range(half // q, 0, -1):  # downwards, so d has only primes below q
+            for qe, cls in powers:
+                if not classes[d] or d * qe > half:
+                    break
+                inv = pow(d, -1, qe)
+                classes[d * qe] = [x + d * ((y - x) * inv % qe) for x in classes[d] for y in cls]
+    divisors = [[] for _ in range(first, s + 1, 2)]  # the d in the window of each b
+    for d, cls in enumerate(classes):
+        if cls:
+            lo = max(0, (s + 2 - 2 * d - first) // 2)
+            hi = (math.isqrt(disc - 4 * d * d) - first) // 2
+            for x in cls:
+                for found in divisors[lo + (x - lo) % d : hi + 1 : d]:
+                    found.append(d)
     forms = []
-    for b in range(2 if disc % 2 == 0 else 1, s + 1, 2):
+    for b, found in zip(range(first, s + 1, 2), divisors):
         n = (disc - b * b) // 4
-        hi = min((s + b) // 2, math.isqrt(n))
-        for d in _divisors_in(n, (s + 2 - b) // 2, hi, spf):
+        for d in found:
             for aa in (d,) if d * d == n else (d, n // d):
                 if not _is_reduced(aa, b, disc):
                     raise ComputationBug(f"disc = {disc}: ({aa}, {b}) is not reduced")
@@ -399,29 +372,31 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     return forms
 
 
-def _rho(form: tuple[int, int, int], disc: int, s: int) -> tuple[int, int, int]:
-    """Reduction-cycle step: (a,b,c) -> (c, b', (b'^2-disc)/(4c))."""
-    _, b, c = form
-    b2 = s - (s + b) % (2 * abs(c))
-    return c, b2, (b2 * b2 - disc) // (4 * c)
-
-
 def form_class_number(disc: int) -> int:
     """Number of rho-cycles of reduced forms = proper form class number h(disc).
 
-    The reduced forms come from reduced_forms (see there for the window
-    bound and the factor table).
+    rho, (a, b, c) -> (c, b', (b'^2 - disc)/(4c)) with
+    b' = s - (s + b) mod 2|c|, s = isqrt(disc), permutes the reduced forms.
+    A reduced form has b^2 < disc, so ac < 0 and the sign of a alternates
+    along every cycle: the cycles are the orbits of rho^2 on the forms
+    with a > 0, every other entry of reduced_forms.
     """
-    remaining = set(reduced_forms(disc))
     s = math.isqrt(disc)
+    remaining = set(reduced_forms(disc)[::2])
     cycles = 0
     while remaining:
-        start = remaining.pop()
+        _, b, c = start = remaining.pop()
         cycles += 1
-        f = _rho(start, disc, s)
-        while f != start:
+        while True:
+            # two rho steps: (., b, c < 0) -> (c, b, a > 0) -> (a, b, c < 0)
+            b = s - (s + b) % (-2 * c)
+            a = (b * b - disc) // (4 * c)
+            b = s - (s + b) % (2 * a)
+            c = (b * b - disc) // (4 * a)
+            f = (a, b, c)
+            if f == start:
+                break
             remaining.discard(f)
-            f = _rho(f, disc, s)
     return cycles
 
 

@@ -301,6 +301,15 @@ class TestScanCommand:
         code, _, err = run(capsys, "scan", "gaac")
         assert code == 2
 
+    @pytest.mark.parametrize("jobs", ["-3", "0"])
+    def test_jobs_below_one_is_a_usage_error(self, capsys, tmp_path, jobs):
+        ck = tmp_path / "g.jsonl"
+        argv = ("scan", "gaac", "--max", "200", "--jobs", jobs, "--checkpoint", str(ck))
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "--jobs" in err
+        assert not ck.exists()
+
 
 class TestReportCommand:
     def test_round_trip_counts(self, capsys, tmp_path):

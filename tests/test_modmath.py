@@ -116,6 +116,22 @@ class TestLegendre:
         assert modmath.legendre(a * b, p) == modmath.legendre(a, p) * modmath.legendre(b, p)
 
 
+class TestSqrtMod:
+    def test_against_brute_force_below_3000(self):
+        # every residue of every odd prime q < 3000, q = 1 mod 8 (the
+        # Tonelli-Shanks loop with e >= 3) included
+        for q in modmath.primes_in(3, 2999):
+            squares = {x * x % q for x in range(q)}
+            roots = [modmath.sqrt_mod(a, q) for a in range(q)]
+            assert [r is not None for r in roots] == [a in squares for a in range(q)], q
+            assert all(r is None or (0 <= r < q and r * r % q == a) for a, r in enumerate(roots)), q
+
+    def test_reduces_its_argument(self):
+        assert modmath.sqrt_mod(4 * 10**6 + 1, 5) in (1, 4)
+        assert modmath.sqrt_mod(-1, 13) in (5, 8)
+        assert modmath.sqrt_mod(-1, 7) is None
+
+
 class TestKronecker:
     def test_anchors(self):
         assert modmath.kronecker(5, 1) == 1

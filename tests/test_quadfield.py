@@ -1,6 +1,5 @@
 import math
 import random
-from array import array
 
 import mpmath
 import pytest
@@ -183,21 +182,12 @@ def reference_lsum(d):
     return total
 
 
-def brute_spf(limit):
-    """Smallest prime factor of every n < limit, marking upwards from each prime."""
-    spf = [0] * limit
-    for p in range(2, limit):
-        if spf[p] == 0:
-            for m in range(p, limit, p):
-                if spf[m] == 0:
-                    spf[m] = p
-    return spf
-
-
-@pytest.fixture
-def fresh_table(monkeypatch):
-    """An empty factor table for the test; the module's own is restored afterwards."""
-    monkeypatch.setattr(quadfield, "_spf", array("I"))
+def rho_step(form, disc):
+    """Oracle: one rho step (a, b, c) -> (c, b', (b'^2 - disc)/(4c)), b' = s - (s + b) mod 2|c|."""
+    s = math.isqrt(disc)
+    _, b, c = form
+    b2 = s - (s + b) % (2 * abs(c))
+    return c, b2, (b2 * b2 - disc) // (4 * c)
 
 
 class TestContinuedFraction:
@@ -398,7 +388,6 @@ class TestClassNumbers:
     def test_reduced_forms_are_reduced_and_cycle(self):
         for disc in (5, 40, 229, 316):
             forms = quadfield.reduced_forms(disc)
-            s = math.isqrt(disc)
             seen = set(forms)
             assert len(seen) == len(forms)
             for f in forms:
@@ -406,7 +395,7 @@ class TestClassNumbers:
                 assert b * b - 4 * a * c == disc
                 assert quadfield._is_reduced(a, b, disc)
                 # rho stays inside the reduced set (it permutes it)
-                g = quadfield._rho(f, disc, s)
+                g = rho_step(f, disc)
                 assert g in seen, (disc, f, g)
 
     def test_bound_check(self):
@@ -491,45 +480,25 @@ class TestReducedFormsOracle:
             assert quadfield.form_class_number(4 * D) == reference_class_number(4 * D), D
 
 
-class TestFactorTable:
-    def test_entries_are_smallest_prime_factors_below_2_16(self, fresh_table):
-        table = quadfield._spf_table(2**16 - 1)
-        assert len(table) == 2**16
-        want = brute_spf(2**16)
-        assert all(table[n] == want[n] for n in range(2, 2**16))
+class TestFormSieve:
+    def test_class_numbers_match_rho_cycles_to_4000(self):
+        # the rho^2 walk over the a > 0 forms against a walk over all of them
+        for disc in range(5, 4001):
+            if disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
+                continue
+            assert quadfield.form_class_number(disc) == reference_class_number(disc), disc
 
-    def test_grows_on_a_larger_request(self, fresh_table):
-        small = quadfield._spf_table(100)
-        assert 100 < len(small) < 5000
-        assert quadfield.reduced_forms(4 * 997) == reference_reduced_forms(4 * 997)
-        big = quadfield._spf_table(50_000)
-        assert len(big) == 2**16  # doubled from the small table until it covers 50000
-        want = brute_spf(len(big))
-        assert all(big[n] == want[n] for n in range(2, len(big)))
-        assert quadfield._spf_table(1000) is big
-        assert quadfield.reduced_forms(4 * 49_999) == reference_reduced_forms(4 * 49_999)
-
-    def test_capped_at_2_22_entries(self, fresh_table):
-        D = 4_194_313  # n = D - 1, D - 4, D - 9 are at or above the cap: the cofactor path
+    def test_above_2_22(self):
+        # n = D - 1, D - 4, D - 9 lie above 2^22
+        D = 4_194_313
         assert quadfield.reduced_forms(4 * D) == reference_reduced_forms(4 * D)
-        assert len(quadfield._spf) == quadfield._SPF_CAP == 2**22
-        assert len(quadfield._spf_table(2**40)) == 2**22
 
-    def test_cofactors_above_a_small_table(self, fresh_table, monkeypatch):
-        # with a 64-entry table almost every n goes through trial division,
-        # and n above 64^2 runs past the table's primes
-        import sympy
-
-        monkeypatch.setattr(quadfield, "_SPF_CAP", 64)
-        table = quadfield._spf_table(10**6)
-        assert len(table) == 64
-        rng = random.Random(4)
-        for n in [1, 2, 63, 64, 4096, 4097, 65_537, 2**20 * 3] + [rng.randrange(1, 10**9) for _ in range(200)]:
-            divisors = sympy.divisors(n)
-            assert quadfield._divisors_in(n, 1, n, table) == divisors, n
-            lo = rng.randrange(1, math.isqrt(n) + 1)
-            hi = rng.randrange(lo, n + 1)
-            window = [d for d in divisors if lo <= d <= hi]
-            assert quadfield._divisors_in(n, lo, hi, table) == window, (n, lo, hi)
-        for disc in (5, 229, 4 * 1817, 20_001, 4 * 5_003):
+    def test_seeded_discriminants_between_1e6_and_1e7(self):
+        rng = random.Random(10)
+        discs = []
+        while len(discs) < 4:
+            disc = rng.randrange(10**6, 10**7)
+            if disc % 4 in (0, 1) and math.isqrt(disc) ** 2 != disc:
+                discs.append(disc)
+        for disc in discs:
             assert quadfield.reduced_forms(disc) == reference_reduced_forms(disc), disc
