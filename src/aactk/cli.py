@@ -11,8 +11,9 @@ Subcommands:
 VERIFIERS lists the statements `verify` accepts: each names its
 congruences verifier and the options it takes after --p.  A missing
 option is a usage error (exit 2) that names every missing --opt.  The
-scan kinds are those of scan.KINDS.  The parser is built once per
-process; each call of main parses into a fresh namespace.
+scan kinds are those of scan.KINDS; --x is another name for --max, and
+without --min a scan starts at its kind's first item.  The parser is
+built once per process; each call of main parses into a fresh namespace.
 
 Records are flat one-per-line JSON objects with a per-line integrity
 field ("crc", CRC-32 of the canonical record without it).  Output is
@@ -29,11 +30,6 @@ violation, 3 checkpoint corruption or I/O failure, 4 internal failure
 (ComputationBug, PrecisionLoss, ToleranceExceeded or any exception from
 outside aactk's hierarchy: the implementation or its precision is at
 fault, not the input).
-
-The AACTK_DPS environment variable overrides the default working
-precision (decimal digits, an integer >= 16, default 50) of the
-floating-point checks; main reads it before any command runs, so a bad
-value exits 2.
 """
 
 from __future__ import annotations
@@ -207,10 +203,9 @@ def _run_scan(args) -> int:
     jobs = (os.cpu_count() or 1) if args.jobs is None else args.jobs
     if jobs < 1:
         raise PreconditionViolation(f"--jobs {jobs} is below 1")
-    hi = args.x if (kind == "density" and args.x is not None) else args.max
+    lo, hi = args.min, args.max
     if hi is None:
-        raise PreconditionViolation("scan needs --max (or --x for density)")
-    lo = args.min if args.min is not None else (2 if kind == "density" else 3)
+        raise PreconditionViolation("scan needs --max")
     items = scan.plan(kind, lo, hi, args.block)
 
     done: dict = {}
@@ -242,10 +237,11 @@ def _scan_summary(kind: str, records: list[dict], elapsed: float, args) -> int:
         total = sum(r["count"] for r in records)
         x = max((r["n_hi"] for r in records), default=0)
         ratio = total / x if x else 0.0
-        const = gaac.partial_density_constant(args.z)
+        z = gaac.PARTIAL_PRODUCT_Z
         err.write(
             f"density scan: x={x} count={total} ratio={ratio:.4f} "
-            f"partial-product(z={args.z})={const:.4f} elapsed={elapsed:.1f}s\n"
+            f"partial-product(z={z})={gaac.partial_density_constant(z):.4f} "
+            f"elapsed={elapsed:.1f}s\n"
         )
         return EXIT_OK
     failures = [r for r in records if not r["holds"]]
@@ -316,10 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("scan", help="range scan with checkpointing")
     s.add_argument("kind", choices=list(scan.KINDS))
-    s.add_argument("--max", type=int, help="upper bound (inclusive)")
-    s.add_argument("--min", type=int, help="lower bound (inclusive)")
-    s.add_argument("--x", type=int, help="alias for --max (density)")
-    s.add_argument("--z", type=int, default=1000, help="density partial-product cutoff")
+    s.add_argument("--max", "--x", type=int, help="upper bound (inclusive)")
+    s.add_argument("--min", type=int, default=0, help="lower bound (inclusive; default: the kind's first item)")
     s.add_argument("--block", type=int, default=1000, help="density block size")
     s.add_argument("--checkpoint", type=str, help="append-only record file")
     s.add_argument("--jobs", type=int, help="parallel workers, 1 to the cpu count (default: cpu count)")
@@ -346,7 +340,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        quadfield._default_dps()  # a bad AACTK_DPS is a usage error, whatever the command
         return args.func(args)
     except CheckpointCorrupt as exc:
         print(f"error: checkpoint corrupt: {exc}", file=sys.stderr)

@@ -19,6 +19,7 @@ fixes zeta = exp(2*pi*i/p) (making tau the positive square root).
 
 from __future__ import annotations
 
+import math
 import sys
 from array import array
 from dataclasses import dataclass
@@ -330,11 +331,6 @@ def lemma6_check(n: int, j: int, p) -> bool:
     return not any(cyc_pow_mod_p(CycInt.from_powers(p, powers), p - 1))
 
 
-def _unit_dps(p: int) -> int:
-    base = quadfield._default_dps()
-    return base if p <= 50 else max(base, 120)
-
-
 def unit_identity_check(p, n: int, tol: float = 1e-8) -> bool:
     """Float check of the two unit product identities at zeta = exp(2*pi*i/p).
 
@@ -342,14 +338,17 @@ def unit_identity_check(p, n: int, tol: float = 1e-8) -> bool:
       eps^(4h) = prod_j ((zeta^(nj) - 1) / (n (zeta^j - 1)))^((j/p))
 
     with eps the fundamental unit and h the class number of Q(sqrt(p)).
-    Returns True when both hold within tol; raises ToleranceExceeded
-    otherwise.
+    The working precision is the digit count of eps^(4h), the larger
+    side, plus 50: 50 + ceil(4h log10(eps)) decimal digits, so rounding
+    leaves each deviation near 10^-50 however large the unit.  Returns
+    True when both hold within tol; raises ToleranceExceeded otherwise.
     """
     p = modmath.require_1mod4(p)
     modmath.require_nonresidue(n, p)
     unit = quadfield.fundamental_unit(p)
     h = quadfield.class_number(p)
-    with mpmath.workdps(_unit_dps(p)):
+    dps = 50 + math.ceil(4 * h * quadfield.regulator(unit) / math.log(10))
+    with mpmath.workdps(dps):
         eps = (unit.t + unit.u * mpmath.sqrt(p)) / 2
         zeta = [mpmath.exp(2j * mpmath.pi * j / p) for j in range(p)]
         chi = [0] + [modmath.legendre(j, p) for j in range(1, p)]

@@ -75,6 +75,11 @@ def reproduce_counterexamples() -> list[GaacVerdict]:
     return [gaac_check(D) for D in KNOWN_ODD_FAILURES]
 
 
+# The prime cutoff z of the partial density constant: count_squarefree_n2m1's
+# default, and the one the density scan's summary prints.
+PARTIAL_PRODUCT_Z = 1000
+
+
 @dataclass(frozen=True)
 class SieveCount:
     """Exact count of n <= x with n^2 - 1 squarefree, plus the partial density constant."""
@@ -121,7 +126,7 @@ def count_squarefree_n2m1_in(lo: int, hi: int) -> int:
     return bad.count(0)
 
 
-def count_squarefree_n2m1(x: int, z: int = 1000) -> SieveCount:
+def count_squarefree_n2m1(x: int, z: int = PARTIAL_PRODUCT_Z) -> SieveCount:
     """Count n in [2, x] with n^2 - 1 squarefree (see count_squarefree_n2m1_in)."""
     if x < 2:
         raise OutOfRange(f"x = {x} must be >= 2")

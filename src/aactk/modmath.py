@@ -1,7 +1,7 @@
 """Exact modular arithmetic over an odd prime p.
 
-Quadratic-residue machinery (with the one non-residue guard the
-verifiers share), Fermat quotients, harmonic numbers mod p, the
+Quadratic-residue machinery (with require_nonresidue, the non-residue
+guard most verifiers share), Fermat quotients, harmonic numbers mod p, the
 squarefree test, and the floor-function identities used by the
 congruence verifiers.
 
@@ -14,8 +14,8 @@ Conventions:
     Every statement reads them only through A + B mod p^2, and the exact
     products would carry roughly p*log(p) bits.
 
-All functions accepting a prime take either a plain int or a
-PrimeModulus; ints are validated once through a cached primality check.
+Every function that takes a prime takes it as an int and validates it
+through as_prime, whose primality check is cached.
 """
 
 from __future__ import annotations
@@ -82,19 +82,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class PrimeModulus:
-    """A validated odd prime, tagged with its residue class mod 4."""
-
-    p: int
-    class1mod4: bool
-
-    @classmethod
-    def of(cls, p: int) -> "PrimeModulus":
-        _check_odd_prime(p)
-        return cls(p=p, class1mod4=(p % 4 == 1))
-
-
 @lru_cache(maxsize=None)
 def _check_odd_prime(p: int) -> int:
     if p < 3 or not is_prime(p):
@@ -103,9 +90,7 @@ def _check_odd_prime(p: int) -> int:
 
 
 def as_prime(p) -> int:
-    """Coerce an int or PrimeModulus to a validated odd prime int."""
-    if isinstance(p, PrimeModulus):
-        return p.p
+    """Validate p as an odd prime and return it as an int (NotPrime otherwise)."""
     return _check_odd_prime(int(p))
 
 
@@ -319,7 +304,7 @@ class ResidueSets:
     same quotient of the exact products.
     """
 
-    p: PrimeModulus
+    p: int
     qr: tuple[int, ...]
     nqr: tuple[int, ...]
     A: int
@@ -345,9 +330,7 @@ def residue_sets(p) -> ResidueSets:
     p = require_1mod4(p)
     qr, nqr = residue_partition(p)
     p2 = p * p
-    return ResidueSets(
-        p=PrimeModulus.of(p), qr=qr, nqr=nqr, A=prod_mod(qr, p2), B=prod_mod(nqr, p2)
-    )
+    return ResidueSets(p=p, qr=qr, nqr=nqr, A=prod_mod(qr, p2), B=prod_mod(nqr, p2))
 
 
 def legendre_harmonic_sum(p) -> int:

@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 from . import modmath
 from .errors import (
+    ComputationBug,
+    DivisibilityBug,
     DivisibleBase,
     HypothesisFail,
     NotSmall,
@@ -115,7 +117,8 @@ def padic_log_1plus(z: int, p, k: int = 2, *, terms: int | None = None) -> int:
         zn *= z
         total += Fraction(zn if n % 2 else -zn, n)
     den = total.denominator
-    assert den % p != 0
+    if den % p == 0:
+        raise ComputationBug(f"series denominator {den} is divisible by {p}")
     return total.numerator * pow(den, -1, pk) % pk
 
 
@@ -148,7 +151,8 @@ def theorem4_check(x: int, p) -> bool:
         raise HypothesisFail(f"x = {x} is not 1 mod {p}")
     lhs = padic_log_1plus((x - 1) % (p * p), p, 2) % p
     num = x**p - 1
-    assert num % p == 0
+    if num % p:
+        raise DivisibilityBug(f"x^p - 1 is not divisible by {p} at x = {x}")
     rhs = num // p % p
     return lhs == rhs
 

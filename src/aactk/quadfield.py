@@ -36,7 +36,6 @@ bit length plus a 64-bit mantissa correction, good to ~1e-15 relative.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -201,17 +200,9 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-# The least mpmath precision above a double's 53 bits: with fewer digits the
-# extended-precision retry would be coarser than the float sum it retries.
-_MIN_DPS = 16
-
-
-def _default_dps() -> int:
-    """AACTK_DPS, default 50; OutOfRange unless it is an integer >= 16."""
-    text = os.environ.get("AACTK_DPS", "50")
-    if not text.strip().isdecimal() or int(text) < _MIN_DPS:
-        raise OutOfRange(f"AACTK_DPS = {text!r} is not an integer >= {_MIN_DPS}")
-    return int(text)
+# The decimal precision of the class-number retry, well above a double's 16
+# digits, so the retry is finer than the float sum it retries.
+_FALLBACK_DPS = 50
 
 
 def _chi_half(d: int) -> list[int]:
@@ -279,7 +270,7 @@ def class_number_dirichlet(d: int) -> int:
 
     h = _round_strict(_lsum_float(d))
     if h is None:
-        h = _round_strict(_lsum_mpmath(d, _default_dps()))
+        h = _round_strict(_lsum_mpmath(d, _FALLBACK_DPS))
         if h is None:
             raise PrecisionLoss(f"d = {d}: analytic class number failed to round")
     return h

@@ -1,14 +1,15 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
 import pytest
 
 import aactk
-from aactk import cli, quadfield, scan
-from aactk.errors import DivisibilityBug, OutOfRange
+from aactk import cli, scan
+from aactk.errors import DivisibilityBug
 
 # A child Python finds the package under test the way this process did.
 CHILD_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(aactk.__file__))}
@@ -213,6 +214,15 @@ class TestScanCommand:
         assert code == 0
         assert "ratio=0.32" in err
 
+    def test_x_is_another_name_for_max(self, capsys, tmp_path):
+        outputs = []
+        for bound in ("--x", "--max"):
+            ck = tmp_path / f"density{bound}.jsonl"
+            argv = ("scan", "density", bound, "3000", "--checkpoint", str(ck), "--jobs", "1")
+            code, out, _ = run(capsys, *argv)
+            outputs.append((code, re.sub(r"elapsed=\S+", "", out), ck.read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_resume_after_torn_write(self, capsys, tmp_path):
         full = tmp_path / "full.jsonl"
         code, _, _ = run(
@@ -407,34 +417,6 @@ class TestModuleEntryPoint:
 
 
 class TestPrecisionOverride:
-    def test_env_var_controls_default_dps(self, monkeypatch):
-        monkeypatch.setenv("AACTK_DPS", "80")
-        assert quadfield._default_dps() == 80
-        monkeypatch.delenv("AACTK_DPS")
-        assert quadfield._default_dps() == 50
-
-    @pytest.mark.parametrize("value", ["abc", "-3", "15", "", "16.5"])
-    def test_env_var_below_a_double_or_not_an_integer(self, monkeypatch, value):
-        monkeypatch.setenv("AACTK_DPS", value)
-        with pytest.raises(OutOfRange, match="AACTK_DPS"):
-            quadfield._default_dps()
-
-    def test_env_var_accepts_16_and_up(self, monkeypatch):
-        for value in (16, 80):
-            monkeypatch.setenv("AACTK_DPS", str(value))
-            assert quadfield._default_dps() == value
-
-    def test_bad_env_var_exit_2_for_every_command(self, capsys, monkeypatch):
-        monkeypatch.setenv("AACTK_DPS", "abc")
-        for argv in (
-            ["class-number", "--disc", "229"],
-            ["verify", "aac", "--p", "13"],
-            ["scan", "gaac", "--max", "20", "--jobs", "1"],
-            ["unit", "--d", "13"],
-        ):
-            code, out, err = run(capsys, *argv)
-            assert code == 2 and out == "" and "AACTK_DPS" in err, argv
-
     def test_internal_failure_exit_4(self, capsys, monkeypatch):
         def broken(p):
             raise DivisibilityBug("(A + B) / p is not an integer")

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from aactk import cyclotomic as cyc
-from aactk import modmath
+from aactk import modmath, quadfield
 from aactk.errors import (
     ModulusMismatch,
     NotNonResidue,
@@ -322,6 +322,19 @@ class TestUnitIdentities:
         assert cyc.unit_identity_check(13, 2, 1e-8)
         assert cyc.unit_identity_check(17, 3, 1e-8)
         assert cyc.unit_identity_check(29, 2, 1e-8)
+
+    @pytest.mark.parametrize("p, n", [(1801, 11), (2089, 7), (2137, 5)])
+    def test_large_units(self, p, n):
+        # eps^(4h) has 110 to 121 decimal digits here: a working precision that
+        # does not grow with it leaves deviations far above tol
+        assert cyc.unit_identity_check(p, n)
+
+    @pytest.mark.parametrize("p, n", [(13, 2), (1801, 11)])
+    def test_wrong_class_number_raises(self, monkeypatch, p, n):
+        h = quadfield.class_number(p)
+        monkeypatch.setattr(quadfield, "class_number", lambda q: h + 1)
+        with pytest.raises(ToleranceExceeded):
+            cyc.unit_identity_check(p, n)
 
     def test_tolerance_exceeded(self):
         # far below working precision: the residual float error must trip it

@@ -50,13 +50,10 @@ class TestPrimality:
         assert not modmath.is_prime((2**61 - 1) * (2**89 - 1))
 
     def test_prime_modulus_validation(self):
-        pm = modmath.PrimeModulus.of(13)
-        assert pm.p == 13 and pm.class1mod4
-        assert not modmath.PrimeModulus.of(7).class1mod4
         with pytest.raises(NotPrime):
-            modmath.PrimeModulus.of(15)
+            modmath.as_prime(15)
         with pytest.raises(NotPrime):
-            modmath.PrimeModulus.of(2)
+            modmath.as_prime(2)
 
     def test_primes_in(self):
         assert modmath.primes_in(5, 20) == [5, 7, 11, 13, 17, 19]
@@ -83,13 +80,6 @@ class TestPrimality:
             tracemalloc.stop()
         assert primes == [n for n in range(lo, hi + 1) if modmath.is_prime(n)]
         assert peak < 2**20
-
-    def test_prime_modulus_accepted_everywhere(self):
-        pm = modmath.PrimeModulus.of(13)
-        assert modmath.legendre(2, pm) == -1
-        assert modmath.residue_sets(pm).A == 12960 % 169
-        assert modmath.harmonic_mod(6, pm) == 7
-        assert modmath.fermat_quotient(2, pm) == (315, 3)
 
 
 class TestLegendre:
@@ -268,7 +258,7 @@ class TestResidueSets:
     def test_p13_products(self):
         # the exact products are 12960 and 36960; A and B keep them mod 13^2
         rs = modmath.residue_sets(13)
-        assert rs.A == 12960 % 169 and rs.B == 36960 % 169
+        assert rs.p == 13 and rs.A == 12960 % 169 and rs.B == 36960 % 169
 
     def test_product_residues_to_1000(self):
         # math.prod is the exact oracle; 10009 is the first prime = 1 mod 4 above 10^4

@@ -207,3 +207,16 @@ class TestOmega:
                 check = padiclog.omega_from_products(values, sign, p)
                 assert check.holds, (p, values)
                 assert check.omega == (math.prod(values) - sign) // p % p
+
+
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so a library check must raise instead
+    import ast
+    import pathlib
+
+    import aactk
+
+    for path in sorted(pathlib.Path(aactk.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        assert not lines, f"{path.name}: assert at lines {lines}"
