@@ -234,7 +234,7 @@ def verify_thm54(p, M: int) -> CongruenceReport:
     modmath.require_nonresidue(m, p)
     lhs = -M * modmath.fermat_quotient_mod(M, p) % p
 
-    h = modmath._harmonic_values(p)
+    h = modmath.harmonic_table(p)
     rhs = (M // p + sum(h[p * j // m] for j in range(1, m))) % p
     return _report(Statement.THM54, p, {"M": M, "m": m}, lhs, rhs)
 
@@ -266,7 +266,7 @@ def verify_gen_eisenstein(p, m: int) -> CongruenceReport:
         raise HypothesisFail(f"{m} is a quadratic residue mod {p}")
     lhs = -m * modmath.fermat_quotient_mod(m, p) % p
 
-    h = modmath._harmonic_values(p)
+    h = modmath.harmonic_table(p)
     step = (p - 1) // m
     rhs = 2 * sum(h[step * j] for j in range(1, (m - 1) // 2 + 1)) % p
     return _report(Statement.GEN_EISENSTEIN, p, {"m": m}, lhs, rhs)
@@ -317,7 +317,7 @@ def verify_thm56(p, r: int, abar: int, bbar: int) -> CongruenceReport:
         )
     lhs = -r * modmath.fermat_quotient_mod(r, p) % p
 
-    h = modmath._harmonic_values(p)
+    h = modmath.harmonic_table(p)
     rhs = (
         bbar * (abar // p)
         + abar * (bbar // p)
@@ -337,10 +337,10 @@ def verify_aac1952(p, n: int) -> CongruenceReport:
     lhs = 2 * data.ratio_2hu_t % p
 
     inv = modmath.inverse_table(p)
-    squares = modmath._qr_set(p)
+    flags = modmath.square_flags(p)
     total = 0
     for k in range(1, p):
         term = n * k // p * inv[k]
-        total += term if k in squares else -term
+        total += term if flags[k] else -term
     rhs = -modmath.mod_inverse(n, p) * total % p
     return _report(Statement.AAC1952, p, {"n": n}, lhs, rhs)

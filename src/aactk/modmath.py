@@ -15,7 +15,9 @@ Conventions:
     products would carry roughly p*log(p) bits.
 
 Every function that takes a prime takes it as an int and validates it
-through as_prime, whose primality check is cached.
+through as_prime.  Its primality check and the tables square_flags (one
+byte per residue), inverse_table and harmonic_table are cached for the
+last _TABLE_CACHE_SIZE primes.
 """
 
 from __future__ import annotations
@@ -37,9 +39,9 @@ from .errors import (
     WrongResidueClass,
 )
 
-# Witness set is deterministic for n < 3.3 * 10^24 (covers 64-bit inputs).
+# The least strong pseudoprime to all these bases is the bound, 3.2 * 10^23.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461
 _MR_EXTRA_ROUNDS = 24
 
 _TABLE_CACHE_SIZE = 32
@@ -48,9 +50,10 @@ _TABLE_CACHE_SIZE = 32
 def is_prime(n: int) -> bool:
     """Miller-Rabin primality test.
 
-    Deterministic for n below ~3.3e24 via the 12-witness set; larger
-    inputs additionally run 24 pseudorandom rounds seeded by n, so the
-    answer is still deterministic per input but carries the usual
+    Deterministic for n below ~3.2e23 via the 12-witness set, with bases
+    2 and 3 alone below 1373653, the least strong pseudoprime to both;
+    larger inputs additionally run 24 pseudorandom rounds seeded by n, so
+    the answer is still deterministic per input but carries the usual
     < 4^-24 error caveat.
     """
     if n < 2:
@@ -65,7 +68,7 @@ def is_prime(n: int) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    witnesses = list(_MR_WITNESSES)
+    witnesses = [2, 3] if n < 1_373_653 else list(_MR_WITNESSES)
     if n >= _MR_DETERMINISTIC_BOUND:
         rng = random.Random(n)
         witnesses += [rng.randrange(2, n - 1) for _ in range(_MR_EXTRA_ROUNDS)]
@@ -82,7 +85,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def _check_odd_prime(p: int) -> int:
     if p < 3 or not is_prime(p):
         raise NotPrime(f"{p} is not an odd prime")
@@ -264,21 +267,22 @@ def fermat_quotient_mod(a: int, p) -> int:
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def inverse_table(p: int) -> tuple[int, ...]:
-    """inv[k] = k^-1 mod p for k in [1, p-1], via one batched-inversion pass."""
+    """inv[k] = k^-1 mod p for k in [1, p-1], with inv[0] = 0.
+
+    One pass upwards: p = (p // k) * k + p mod k gives
+    k^-1 = -(p // k) * (p mod k)^-1 mod p, and p mod k < k.
+    """
     p = as_prime(p)
-    prefix = [1] * p
-    for k in range(1, p):
-        prefix[k] = prefix[k - 1] * k % p
-    inv = [0] * p
-    acc = pow(prefix[p - 1], p - 2, p)
-    for k in range(p - 1, 0, -1):
-        inv[k] = acc * prefix[k - 1] % p
-        acc = acc * k % p
+    inv = [0, 1] + [0] * (p - 2)
+    for k in range(2, p):
+        inv[k] = (p - p // k) * inv[p % k] % p
     return tuple(inv)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _harmonic_values(p: int) -> tuple[int, ...]:
+def harmonic_table(p: int) -> tuple[int, ...]:
+    """H[k] = sum_{j<=k} 1/j mod p for k in [0, p-1], with H[0] = 0."""
+    p = as_prime(p)
     inv = inverse_table(p)
     out = [0] * p
     for k in range(1, p):
@@ -291,7 +295,7 @@ def harmonic_mod(k: int, p) -> int:
     p = as_prime(p)
     if not 0 <= k <= p - 1:
         raise OutOfRange(f"harmonic index {k} outside [0, {p - 1}]")
-    return _harmonic_values(p)[k]
+    return harmonic_table(p)[k]
 
 
 @dataclass(frozen=True)
@@ -312,16 +316,22 @@ class ResidueSets:
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _qr_set(p: int) -> frozenset[int]:
-    return frozenset(a * a % p for a in range(1, (p + 1) // 2))
+def square_flags(p: int) -> bytes:
+    """flags[a] = 1 when a in [1, p-1] is a quadratic residue mod p, else 0."""
+    p = as_prime(p)
+    flags = bytearray(p)
+    for a in range(1, (p + 1) // 2):
+        flags[a * a % p] = 1
+    return bytes(flags)
 
 
 def residue_partition(p) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """(qr, nqr): the residues and non-residues in [1, p-1], ascending."""
     p = require_1mod4(p)
-    squares = _qr_set(p)
-    qr = tuple(sorted(squares))
-    nqr = tuple(a for a in range(1, p) if a not in squares)
+    flags = square_flags(p)
+    qr = tuple(itertools.compress(range(p), flags))
+    flip = bytes.maketrans(b"\0\1", b"\1\0")
+    nqr = tuple(itertools.compress(range(1, p), flags[1:].translate(flip)))
     return qr, nqr
 
 
@@ -337,10 +347,10 @@ def legendre_harmonic_sum(p) -> int:
     """sum_{k=1}^{p-1} k^-1 (k/p) mod p; vanishes for p = 1 mod 4."""
     p = require_1mod4(p)
     inv = inverse_table(p)
-    squares = _qr_set(p)
+    flags = square_flags(p)
     total = 0
     for k in range(1, p):
-        total += inv[k] if k in squares else -inv[k]
+        total += inv[k] if flags[k] else -inv[k]
     return total % p
 
 

@@ -13,7 +13,6 @@ is exercised through the integral divisibility check in `cyclotomic`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -56,26 +55,6 @@ def vp(x, p: int) -> int:
     return _ival(abs(x.numerator)) - _ival(x.denominator)
 
 
-@dataclass(frozen=True)
-class PadicApprox:
-    """p^valuation * value to k significant p-power digits, value a unit mod p^k."""
-
-    p: int
-    precision: int
-    value: int
-    valuation: int
-
-    @classmethod
-    def from_rational(cls, x, p: int, k: int = 2) -> "PadicApprox":
-        k = _check_precision(k)
-        v = vp(x, p)
-        x = Fraction(x)
-        unit = x / Fraction(p) ** v
-        pk = p**k
-        value = unit.numerator * pow(unit.denominator, -1, pk) % pk
-        return cls(p=p, precision=k, value=value, valuation=v)
-
-
 def _series_length(p: int, k: int) -> int:
     # Smallest N such that v_p(z^n / n) >= k for every n > N when
     # v_p(z) >= 1; uses v_p(n) <= floor(log_p n) and monotonicity of
@@ -92,13 +71,12 @@ def _series_length(p: int, k: int) -> int:
         n += 1
 
 
-def padic_log_1plus(z: int, p, k: int = 2, *, terms: int | None = None) -> int:
+def padic_log_1plus(z: int, p, k: int = 2) -> int:
     """log(1 + z) mod p^k for p | z, by the exact truncated series.
 
     The alternating series sum_{n>=1} (-1)^(n-1) z^n / n is summed as an
     exact rational over enough terms that every omitted term has
-    valuation >= k, then reduced once mod p^k.  `terms` overrides the
-    term count (only upward), which must never change the answer.
+    valuation >= k, then reduced once mod p^k.
     """
     p = modmath.as_prime(p)
     k = _check_precision(k)
@@ -108,12 +86,9 @@ def padic_log_1plus(z: int, p, k: int = 2, *, terms: int | None = None) -> int:
         return 0
     if z % p != 0:
         raise NotSmall(f"v_{p}({z}) = 0; series needs v >= 1")
-    n_terms = _series_length(p, k)
-    if terms is not None:
-        n_terms = max(n_terms, terms)
     total = Fraction(0)
     zn = 1
-    for n in range(1, n_terms + 1):
+    for n in range(1, _series_length(p, k) + 1):
         zn *= z
         total += Fraction(zn if n % 2 else -zn, n)
     den = total.denominator
@@ -141,20 +116,21 @@ def padic_log_unit(a: int, p, k: int = 2) -> int:
 
 
 def theorem4_check(x: int, p) -> bool:
-    """log_p(x) = (x^p - 1)/p mod p for integers x = 1 mod p.
+    """log_p(x) = (x^p - 1)/p mod p^2 for integers x = 1 mod p.
 
-    The right side is an exact big-integer division; the left side comes
-    from the truncated series at precision 2 and is reduced mod p.
+    Both sides are p*t mod p^2 for x = 1 + p*t; mod p both vanish for
+    every such x, which would test nothing.  The right side is an exact
+    big-integer division, the left the truncated series at precision 2.
     """
     p = modmath.as_prime(p)
     if x % p != 1:
         raise HypothesisFail(f"x = {x} is not 1 mod {p}")
-    lhs = padic_log_1plus((x - 1) % (p * p), p, 2) % p
+    p2 = p * p
+    lhs = padic_log_1plus((x - 1) % p2, p, 2)
     num = x**p - 1
     if num % p:
         raise DivisibilityBug(f"x^p - 1 is not divisible by {p} at x = {x}")
-    rhs = num // p % p
-    return lhs == rhs
+    return lhs == num // p % p2
 
 
 class OmegaCheck(NamedTuple):

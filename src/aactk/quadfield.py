@@ -29,8 +29,8 @@ Both return the number of proper form classes; for every discriminant
 whose fundamental unit has norm -1 (in particular every prime
 p = 1 mod 4) this coincides with the ideal class number of Q(sqrt(p)).
 
-All integer work is exact; logarithms of huge units are taken from the
-bit length plus a 64-bit mantissa correction, good to ~1e-15 relative.
+All integer work is exact; math.log takes the logarithm of a unit of
+any size, good to ~1e-15 relative.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from .errors import (
 )
 
 _LN2 = math.log(2)
-_MANTISSA_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -157,22 +156,11 @@ def fundamental_unit(p) -> FundamentalUnit:
     return FundamentalUnit(p=p, t=t, u=u, norm_sign=norm)
 
 
-def _ln_big(n: int) -> float:
-    """Natural log of a positive big integer from bit length + mantissa."""
-    if n <= 0:
-        raise OutOfRange("log of non-positive integer")
-    bits = n.bit_length()
-    if bits <= 512:
-        return math.log(n)
-    top = n >> (bits - _MANTISSA_BITS)
-    return math.log(top) + (bits - _MANTISSA_BITS) * _LN2
-
-
 def _ln_half_quad(a: int, b: int, d: int) -> float:
     """log((a + b*sqrt(d))/2) for integers a, b > 0, to ~1e-15 relative."""
-    shift = _MANTISSA_BITS
+    shift = 64
     n = (a << shift) + math.isqrt(d * (b << shift) ** 2)
-    return _ln_big(n) - shift * _LN2 - _LN2
+    return math.log(n) - shift * _LN2 - _LN2
 
 
 def regulator(unit: FundamentalUnit | PellSolution) -> float:
@@ -290,10 +278,11 @@ def _is_reduced(a: int, b: int, disc: int) -> bool:
 
 
 def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
-    """All reduced primitive indefinite forms of positive nonsquare discriminant.
+    """The reduced primitive indefinite forms with a > 0 of positive nonsquare discriminant.
 
-    Each form a x^2 + b xy + c y^2 is returned as the tuple (a, b, c).
-    It is reduced when 0 < b < sqrt(disc) and
+    Each form a x^2 + b xy + c y^2 is returned once, as the tuple (a, b, c);
+    the reduced forms with a < 0 are these negated, (-a, b, -c), and are
+    left out.  A form is reduced when 0 < b < sqrt(disc) and
     sqrt(disc) - b < 2|a| < sqrt(disc) + b.  With s = isqrt(disc) and
     disc nonsquare this is exactly ceil((s+1-b)/2) <= |a| <= floor((s+b)/2),
     and since (sqrt(disc) - b)(sqrt(disc) + b) = 4|a||c|, |a| lies in that
@@ -305,9 +294,8 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     certain classes mod d, from b = +-sqrt_mod(disc, q) mod an odd prime q,
     the parity of i for q = 2, lifting for a prime power and the Chinese
     remainder theorem for the other d, each walked only across the
-    b-range of d.  Each form is still checked with _is_reduced, and kept
-    only if primitive.  Forms come in order of b, then of the smaller
-    divisor, |a| before |c|, and a > 0 before a < 0.
+    b-range of d.  Each form is emitted where that walk meets it (in no
+    promised order), checked with _is_reduced and kept if primitive.
     """
     if disc <= 0 or disc % 4 not in (0, 1):
         raise BadDiscriminant(f"{disc} is not a discriminant (need 0 or 1 mod 4)")
@@ -342,24 +330,20 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
                     break
                 inv = pow(d, -1, qe)
                 classes[d * qe] = [x + d * ((y - x) * inv % qe) for x in classes[d] for y in cls]
-    divisors = [[] for _ in range(first, s + 1, 2)]  # the d in the window of each b
+    forms = []
     for d, cls in enumerate(classes):
         if cls:
             lo = max(0, (s + 2 - 2 * d - first) // 2)
             hi = (math.isqrt(disc - 4 * d * d) - first) // 2
             for x in cls:
-                for found in divisors[lo + (x - lo) % d : hi + 1 : d]:
-                    found.append(d)
-    forms = []
-    for b, found in zip(range(first, s + 1, 2), divisors):
-        n = (disc - b * b) // 4
-        for d in found:
-            for aa in (d,) if d * d == n else (d, n // d):
-                if not _is_reduced(aa, b, disc):
-                    raise ComputationBug(f"disc = {disc}: ({aa}, {b}) is not reduced")
-                c = n // aa
-                if math.gcd(aa, b, c) == 1:
-                    forms += ((aa, b, -c), (-aa, b, c))
+                for b in range(first + 2 * (lo + (x - lo) % d), first + 2 * hi + 1, 2 * d):
+                    n = (disc - b * b) // 4
+                    for a in (d,) if d * d == n else (d, n // d):
+                        if not _is_reduced(a, b, disc):
+                            raise ComputationBug(f"disc = {disc}: ({a}, {b}) is not reduced")
+                        c = n // a
+                        if math.gcd(a, b, c) == 1:
+                            forms.append((a, b, -c))
     return forms
 
 
@@ -370,10 +354,10 @@ def form_class_number(disc: int) -> int:
     b' = s - (s + b) mod 2|c|, s = isqrt(disc), permutes the reduced forms.
     A reduced form has b^2 < disc, so ac < 0 and the sign of a alternates
     along every cycle: the cycles are the orbits of rho^2 on the forms
-    with a > 0, every other entry of reduced_forms.
+    with a > 0, which are what reduced_forms returns.
     """
     s = math.isqrt(disc)
-    remaining = set(reduced_forms(disc)[::2])
+    remaining = set(reduced_forms(disc))
     cycles = 0
     while remaining:
         _, b, c = start = remaining.pop()

@@ -416,7 +416,7 @@ class TestModuleEntryPoint:
         assert rec["holds"] and rec["stmt"] == "AAC_EQ2"
 
 
-class TestPrecisionOverride:
+class TestExitCodes:
     def test_internal_failure_exit_4(self, capsys, monkeypatch):
         def broken(p):
             raise DivisibilityBug("(A + B) / p is not an integer")

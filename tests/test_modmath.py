@@ -49,6 +49,12 @@ class TestPrimality:
         assert modmath.is_prime(2**89 - 1)
         assert not modmath.is_prime((2**61 - 1) * (2**89 - 1))
 
+    def test_strong_pseudoprimes_rejected(self):
+        # 1373653 is a strong pseudoprime to bases 2 and 3, and
+        # 318665857834031151167461 to every prime base up to 37
+        assert not modmath.is_prime(1_373_653)
+        assert not modmath.is_prime(318_665_857_834_031_151_167_461)
+
     def test_prime_modulus_validation(self):
         with pytest.raises(NotPrime):
             modmath.as_prime(15)
@@ -169,11 +175,11 @@ class TestInverse:
             modmath.mod_inverse(6, 9)
 
     def test_inverse_table(self):
-        for p in (5, 13, 97):
+        for p in modmath.primes_in(3, 3000) + [10009]:
             inv = modmath.inverse_table(p)
-            assert inv[0] == 0
+            assert len(inv) == p and inv[0] == 0
             for k in range(1, p):
-                assert inv[k] * k % p == 1
+                assert inv[k] * k % p == 1, (p, k)
 
 
 class TestFermatQuotient:
@@ -277,6 +283,11 @@ class TestResidueSets:
             modmath.residue_sets(7)
         with pytest.raises(WrongResidueClass):
             modmath.residue_partition(7)
+
+    def test_square_flags_mark_the_squares(self):
+        for p in modmath.primes_in(3, 600):
+            squares = {x * x % p for x in range(1, p)}
+            assert modmath.square_flags(p) == bytes(a in squares for a in range(p)), p
 
     def test_partition_is_the_sets_of_residue_sets(self):
         for p in [p for p in modmath.primes_in(5, 300) if p % 4 == 1] + [10009]:

@@ -58,19 +58,6 @@ class TestValuation:
             padiclog.vp(10, 6)
 
 
-class TestPadicApprox:
-    def test_from_rational(self):
-        x = padiclog.PadicApprox.from_rational(Fraction(50, 4), 5, 3)
-        assert x.valuation == 2
-        assert x.value % 5 != 0
-        # 50/4 = 25 * (1/2); 1/2 mod 125 = 63
-        assert x.value == 63
-
-    def test_unit_value(self):
-        x = padiclog.PadicApprox.from_rational(7, 5, 2)
-        assert x.valuation == 0 and x.value == 7
-
-
 class TestLog1Plus:
     def test_anchors(self):
         assert padiclog.padic_log_1plus(0, 5, 2) == 0
@@ -98,11 +85,13 @@ class TestLog1Plus:
         st.integers(min_value=1, max_value=10**6),
     )
     def test_truncation_soundness(self, p, k, t):
-        # doubling the term count never changes the reduced output
-        z = t * p % p**k
-        base = padiclog.padic_log_1plus(z, p, k)
+        # the series summed over twice the library's term count reduces the same
+        pk = p**k
+        z = t * p % pk
         n = padiclog._series_length(p, k)
-        assert padiclog.padic_log_1plus(z, p, k, terms=2 * n) == base
+        total = sum(Fraction((-1) ** (j - 1) * z**j, j) for j in range(1, 2 * n + 1))
+        want = total.numerator * pow(total.denominator, -1, pk) % pk
+        assert padiclog.padic_log_1plus(z, p, k) == want
 
     def test_precision_cap(self):
         with pytest.raises(OutOfRange):
@@ -165,6 +154,14 @@ class TestTheorem4:
         with pytest.raises(HypothesisFail):
             padiclog.theorem4_check(2, 5)
 
+    def test_a_wrong_log_fails(self, monkeypatch):
+        # log(x) + p is still 0 mod p, so only the comparison mod p^2 sees it
+        log = padiclog.padic_log_1plus
+        monkeypatch.setattr(padiclog, "padic_log_1plus", lambda z, p, k=2: (log(z, p, k) + p) % p**k)
+        for p in (3, 5, 13):
+            for t in range(p):
+                assert padiclog.theorem4_check(1 + t * p, p) is False, (p, t)
+
 
 class TestOmega:
     def test_residue_product_anchor(self):
@@ -220,3 +217,28 @@ def test_library_has_no_assert_statements():
         tree = ast.parse(path.read_text(), filename=str(path))
         lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
         assert not lines, f"{path.name}: assert at lines {lines}"
+
+
+def test_library_modules_read_no_private_name_of_another():
+    # a module's _-prefixed names are its own; another module reads only public ones
+    import ast
+    import pathlib
+
+    import aactk
+
+    paths = sorted(pathlib.Path(aactk.__file__).parent.glob("*.py"))
+    modules = {path.stem for path in paths}
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        reads = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                reads += [f"from {node.module}: {a.name}" for a in node.names if a.name.startswith("_")]
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in modules - {path.stem}
+                and node.attr.startswith("_")
+            ):
+                reads.append(f"{node.value.id}.{node.attr} at line {node.lineno}")
+        assert not reads, f"{path.name}: {reads}"

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import aactk
-from aactk import scan
+from aactk import modmath, scan
 from aactk.errors import OutOfRange, PreconditionViolation
 
 
@@ -77,3 +77,14 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert list(scan.run("gaac", items, jobs=10**6)) == serial
     assert started == [3]
+
+
+def test_prime_check_cache_stays_bounded():
+    # a scan visits many primes; the validation cache keeps only the latest
+    primes = scan.plan("aac", 5, 20_000)[:1000]
+    assert len(primes) == 1000
+    for _ in scan.run("aac", primes):
+        pass
+    info = modmath._check_odd_prime.cache_info()
+    assert info.maxsize == modmath._TABLE_CACHE_SIZE
+    assert info.currsize <= modmath._TABLE_CACHE_SIZE
