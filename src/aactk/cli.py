@@ -12,8 +12,9 @@ VERIFIERS lists the statements `verify` accepts: each names its
 congruences verifier and the options it takes after --p.  A missing
 option is a usage error (exit 2) that names every missing --opt.  The
 scan kinds are those of scan.KINDS; --x is another name for --max, and
-without --min a scan starts at its kind's first item.  The parser is
-built once per process; each call of main parses into a fresh namespace.
+without --min a scan starts at its kind's first item.  The parsers are
+built once per process; each call of main parses into a fresh namespace,
+with the named subcommand's own parser when argv starts with one.
 
 Records are flat one-per-line JSON objects with a per-line integrity
 field ("crc", CRC-32 of the canonical record without it).  Output is
@@ -287,9 +288,9 @@ FORMATS = ["json", "csv", "table"]
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; each parse_args call
-    returns a fresh Namespace."""
+def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each subcommand's own parser, built once
+    per process; each parse_args call returns a fresh Namespace."""
     parser = argparse.ArgumentParser(
         prog="aactk",
         description="Verify unit/class-number/Fermat-quotient congruences "
@@ -334,11 +335,35 @@ def build_parser() -> argparse.ArgumentParser:
     for command, default in ((v, "json"), (r, "table"), (u, "json"), (c, "json")):
         command.add_argument("--format", choices=FORMATS, default=default)
 
-    return parser
+    return parser, {"verify": v, "scan": s, "report": r, "unit": u, "class-number": c}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The top-level argument parser (built once per process)."""
+    return _parsers()[0]
+
+
+def parse_args(argv=None) -> argparse.Namespace:
+    """argv parsed as the top-level parser would parse it.
+
+    When argv starts with a subcommand, that subcommand's parser reads the
+    rest directly: the top-level parser would hand it the same arguments
+    and set `command`, and skipping it saves most of a parse.  Usage and
+    error text come from the same parsers either way.
+    """
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extra = commands[argv[0]].parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extra:
+        # the top-level parser reports what no parser took, as it would have
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    return args
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
     except CheckpointCorrupt as exc:

@@ -146,12 +146,25 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     p = modmath.require_1mod4(p)
     a_set = [int(a) for a in a_set]
     b_set = [int(b) for b in b_set]
-    qr, nqr = modmath.residue_partition(p)
     if any(a <= 0 for a in a_set + b_set):
         raise BadRepresentatives("all representatives must be positive")
-    if tuple(sorted(a % p for a in a_set)) != qr:
+    flags = modmath.square_flags(p)
+    seen = bytearray(p)
+
+    def tiles(reps: list[int], square: int) -> bool:
+        # (p-1)/2 classes, each nonzero, of the right kind and hit once
+        if len(reps) != (p - 1) // 2:
+            return False
+        for r in reps:
+            r %= p
+            if not r or flags[r] != square or seen[r]:
+                return False
+            seen[r] = 1
+        return True
+
+    if not tiles(a_set, 1):
         raise BadRepresentatives("a_set does not reduce to the residue set")
-    if tuple(sorted(b % p for b in b_set)) != nqr:
+    if not tiles(b_set, 0):
         raise BadRepresentatives("b_set does not reduce to the non-residue set")
 
     a_star = modmath.prod_mod(a_set, p * p)
@@ -186,16 +199,17 @@ def verify_thm51(p, m: int) -> tuple[CongruenceReport, CongruenceReport]:
     lhs = modmath.fermat_quotient_mod(m, p)
 
     data = unit_class_data(p)
-    qr, nqr = modmath.residue_partition(p)
+    flags = modmath.square_flags(p)
     inv = modmath.inverse_table(p)
-    inv_m = inv[m]
     four_hut = 2 * data.ratio_2hu_t % p
 
-    def floor_sum(members) -> int:
-        return sum(m * x // p * inv_m * inv[x] for x in members) % p
+    # sums[1] runs over the residues R, sums[0] over the non-residues N
+    sums = [0, 0]
+    for x in range(1, p):
+        sums[flags[x]] += m * x // p * inv[x]
 
-    rhs_r = (four_hut + 2 * floor_sum(qr)) % p
-    rhs_n = (-four_hut + 2 * floor_sum(nqr)) % p
+    rhs_r = (four_hut + 2 * sums[1] * inv[m]) % p
+    rhs_n = (-four_hut + 2 * sums[0] * inv[m]) % p
     params = {"m": m}
     return (
         _report(Statement.THM51_R, p, params, lhs, rhs_r),

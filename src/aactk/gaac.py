@@ -20,8 +20,10 @@ oracle.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import modmath, quadfield
 from .errors import EvenD, NotSquarefree, OutOfRange, PerfectSquare
@@ -90,12 +92,21 @@ class SieveCount:
     z: int
 
 
+@lru_cache(maxsize=8)
 def partial_density_constant(z: int) -> float:
-    """A_z = prod_{p <= z} (1 - 2/p^2); tends to ~0.32263 as z grows."""
+    """A_z = prod_{p <= z} (1 - 2/p^2); tends to ~0.32263 as z grows (cached)."""
     out = 1.0
     for p in modmath.primes_in(2, z):
         out *= 1 - 2 / (p * p)
     return out
+
+
+@lru_cache(maxsize=None)
+def _odd_primes_to_power_of_two(bits: int) -> tuple[int, ...]:
+    """The odd primes up to 2^bits.  Keyed by bit length, so consecutive
+    density blocks share one tuple and the cache holds at most one entry
+    per bit length."""
+    return tuple(modmath.primes_in(3, 1 << bits))
 
 
 def count_squarefree_n2m1_in(lo: int, hi: int) -> int:
@@ -115,7 +126,9 @@ def count_squarefree_n2m1_in(lo: int, hi: int) -> int:
     bad = bytearray(size)  # bad[i] marks n = lo + i
     odd = (lo | 1) - lo
     bad[odd::2] = b"\x01" * len(range(odd, size, 2))
-    for p in modmath.primes_in(3, math.isqrt(hi + 1)):
+    root = math.isqrt(hi + 1)
+    primes = _odd_primes_to_power_of_two(root.bit_length())
+    for p in primes[: bisect.bisect_right(primes, root)]:
         p2 = p * p
         for r in (1, p2 - 1):
             first = (r - lo) % p2

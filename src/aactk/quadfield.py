@@ -4,12 +4,22 @@ Continued fractions of sqrt(D), fundamental units of Q(sqrt(p)) in the
 (t + u*sqrt(p))/2 normalization, least Pell solutions, regulators, and
 class numbers by two independent routes.
 
-Every unit comes from one continued-fraction walk, _cf_period(disc): one
-period of (sigma + sqrt(disc))/2, sigma = disc mod 2, whose last
-convergent gives the fundamental unit (t + u*sqrt(disc))/2 of the order
-of discriminant disc.  fundamental_unit(p) and class_number_dirichlet(d)
-walk disc = p or d; pell_min_solution(D) and cf_sqrt(D) walk disc = 4D,
-where (0 + sqrt(4D))/2 = sqrt(D).  The class numbers:
+Every unit comes from one continued-fraction walk, _cf_period(disc), over
+(sigma + sqrt(disc))/2, sigma = disc mod 2: the convergent before the end
+of its period gives the fundamental unit (t + u*sqrt(disc))/2 of the order
+of discriminant disc.  unit_of_discriminant(disc) is that walk for any
+nonsquare discriminant; fundamental_unit(p) and class_number_dirichlet(d)
+walk disc = p or d, pell_min_solution(D) and cf_sqrt(D) walk disc = 4D,
+where (0 + sqrt(4D))/2 = sqrt(D).
+
+The walk stops halfway.  After a0 the quotients a_1 ... a_(l-1) of a
+period read the same backwards, and the matrices [[a, 1], [1, 0]] are
+symmetric, so the product over the second half of the period is the
+transpose of the product over the first.  The convergents at the middle
+of the period therefore fix the unit exactly, in about l/2 steps of the
+period's l (the _cf_period docstring has the algebra).
+
+The class numbers:
 
   * class_number_dirichlet: the analytic formula with L(1,chi) evaluated
     by the exact finite log-sine sum (fundamental discriminants only);
@@ -92,32 +102,72 @@ def _cf_period(disc: int) -> tuple[list[int], int, int, int]:
     """One period of the continued fraction of omega = (sigma + sqrt(disc))/2.
 
     disc > 0 is a nonsquare discriminant (0 or 1 mod 4) and sigma = disc
-    mod 2, so omega generates the order of discriminant disc.  The
-    complete quotients (P + sqrt(disc))/Q start from (sigma, 2), and Q
-    returns to 2 exactly at the end of each period (Cohen, A Course in
-    Computational Algebraic Number Theory, 5.7).  Returns
+    mod 2, so omega generates the order of discriminant disc.  Returns
     (quotients, t, u, norm): quotients is a0 and the l terms of the
-    period, the last of them 2*a0 - sigma; p/q is the convergent before
-    that last term, and eps = p - q*conj(omega) = (t + u*sqrt(disc))/2
-    with t = 2p - sigma*q, u = q is the fundamental unit of the order,
-    of norm (-1)^l.  Raises ComputationBug unless t^2 - disc*u^2 = 4*norm.
+    period, the last of them 2*a0 - sigma; p/q = p_(l-1)/q_(l-1) is the
+    convergent before that last term, and eps = p - q*conj(omega) =
+    (t + u*sqrt(disc))/2 with t = 2p - sigma*q, u = q is the fundamental
+    unit of the order, of norm (-1)^l.  Raises ComputationBug unless
+    t^2 - disc*u^2 = 4*norm.
+
+    The complete quotients x_k = (P_k + sqrt(disc))/Q_k start from
+    (P_0, Q_0) = (sigma, 2); a_k = floor(x_k), P_(k+1) = a_k Q_k - P_k,
+    Q_(k+1) = (disc - P_(k+1)^2)/Q_k, and Q returns to 2 exactly at the
+    end of each period (Cohen, A Course in Computational Algebraic Number
+    Theory, 5.7).  With M_j = [[a_j, 1], [1, 0]] and p_-1 = 1, q_-1 = 0,
+    p_-2 = 0, q_-2 = 1,
+
+        M_0 M_1 ... M_k = [[p_k, p_(k-1)], [q_k, q_(k-1)]].
+
+    Where the walk stops.  For k >= 1 the reversal x*_k = -1/conj(x_k)
+    equals (P_k + sqrt(disc))/Q_(k-1), and x*_(k+1) = a_k + 1/x*_k, so
+    x*_(k+1) runs the quotients backwards from a_k.  Q_(k+1) = Q_k says
+    x*_(k+1) = x_(k+1): the quotients mirror about the gap after a_k,
+    a_j = a_(2k+1-j).  P_(k+1) = P_k says x*_(k+1) = x_k: they mirror
+    about a_k, a_j = a_(2k-j).  With the period's own mirror
+    a_j = a_(l-j), the first maps the quotients onto themselves shifted
+    by l - 2k - 1 and the second by l - 2k, and l is the least such
+    shift; so within the first period Q_(k+1) = Q_k only at l = 2k + 1
+    (k = 0 is Q_1 = 2, l = 1), and P_(k+1) = P_k, k >= 1, only at l = 2k.
+
+    The unit from the middle.  The M_j are symmetric, so the product over
+    a mirrored run is the transpose of the product over the run it
+    mirrors; write A = M_0 ... M_k and use M_1 ... M_j = M_0^-1 (M_0 ...
+    M_j), with M_0^-1 = [[0, 1], [1, -a0]] symmetric too.
+      * l = 2k + 1: a_(k+1) ... a_(2k) = a_k ... a_1, so
+        M_0 ... M_(l-1) = A (M_0^-1 A)^T = A A^T M_0^-1, whose first
+        column (x, u) = (p_(l-1), q_(l-1)) is the second column of A A^T:
+        x = p_k q_k + p_(k-1) q_(k-1), u = q_k^2 + q_(k-1)^2.
+      * l = 2k: a_(k+1) ... a_(2k-1) = a_(k-1) ... a_1, so with
+        B = M_0 ... M_(k-1), M_0 ... M_(l-1) = A B^T M_0^-1 and
+        x = p_k q_(k-1) + p_(k-1) q_(k-2), u = q_k q_(k-1) + q_(k-1) q_(k-2).
+    The quotients are a_0 ... a_k, then a_(l-1-k) ... a_1 mirrored, then
+    2*a0 - sigma.
     """
     s = math.isqrt(disc)
     sigma = disc % 2
     P, Q = sigma, 2
-    p_prev, p, q_prev, q = 0, 1, 1, 0
+    # p_(k-2), p_(k-1), q_(k-2), q_(k-1) before step k
+    p_2, p_1, q_2, q_1 = 0, 1, 1, 0
     quotients = []
     while True:
         a = (P + s) // Q
         quotients.append(a)
-        p_prev, p = p, a * p + p_prev
-        q_prev, q = q, a * q + q_prev
-        P = a * Q - P
-        Q = (disc - P * P) // Q
-        if Q == 2:
+        p, q = a * p_1 + p_2, a * q_1 + q_2
+        P_next = a * Q - P
+        Q_next = (disc - P_next * P_next) // Q
+        if Q_next == Q:
+            x, u, mirror = p * q + p_1 * q_1, q * q + q_1 * q_1, quotients[:0:-1]
             break
-    quotients.append((P + s) // 2)
-    t, u, norm = 2 * p - sigma * q, q, (-1) ** (len(quotients) - 1)
+        # at k = 0, P_1 = P_0 only for disc = 5, where Q_1 = Q_0 came first
+        if P_next == P:
+            x, u, mirror = p * q_1 + p_1 * q_2, q * q_1 + q_1 * q_2, quotients[-2:0:-1]
+            break
+        p_2, p_1, q_2, q_1 = p_1, p, q_1, q
+        P, Q = P_next, Q_next
+    quotients += mirror
+    quotients.append(2 * quotients[0] - sigma)
+    t, norm = 2 * x - sigma * u, (-1) ** (len(quotients) - 1)
     if t * t - disc * u * u != 4 * norm:
         raise ComputationBug(f"disc = {disc}: ({t}, {u}) is not a unit of norm {norm}")
     return quotients, t, u, norm
@@ -144,15 +194,23 @@ def pell_min_solution(D: int) -> PellSolution:
     return PellSolution(D=D, u1=x * x + D * y * y, v1=2 * x * y)
 
 
+def unit_of_discriminant(disc: int) -> tuple[int, int, int]:
+    """(t, u, norm) of the fundamental unit (t + u*sqrt(disc))/2 of the
+    order of nonsquare discriminant disc > 0, with t^2 - disc*u^2 = 4*norm."""
+    if disc <= 0 or disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
+        raise BadDiscriminant(f"{disc} is not a positive nonsquare discriminant")
+    return _cf_period(disc)[1:]
+
+
 def fundamental_unit(p) -> FundamentalUnit:
     """Fundamental unit eps = (t + u*sqrt(p))/2 of Q(sqrt(p)), p prime = 1 mod 4.
 
-    Read off one period of the continued fraction of (1 + sqrt(p))/2,
-    which gives the half-integral (t, u odd) unit directly when one
-    exists.  For these p the norm is always -1.
+    Read off the continued fraction of (1 + sqrt(p))/2, which gives the
+    half-integral (t, u odd) unit directly when one exists.  For these p
+    the norm is always -1.
     """
     p = modmath.require_1mod4(p)
-    _, t, u, norm = _cf_period(p)
+    t, u, norm = unit_of_discriminant(p)
     return FundamentalUnit(p=p, t=t, u=u, norm_sign=norm)
 
 

@@ -167,6 +167,48 @@ class TestVerifierTable:
     def test_parser_is_built_once(self):
         assert cli.build_parser() is cli.build_parser()
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "aac", "--p", "13"],
+            ["verify", "thm21", "--p", "5", "--a", "1,4", "--b", "2,3", "--format", "csv"],
+            ["verify", "thm56", "--p", "13", "--r", "4", "--abar", "2"],
+            ["verify", "nope", "--p", "5"],
+            ["verify", "aac"],
+            ["verify", "aac", "--p", "five"],
+            ["scan", "aac", "--max", "100"],
+            ["scan", "density", "--x", "1000", "--min", "10", "--block", "50"],
+            ["scan", "gaac", "--max", "20", "--checkpoint", "ck.jsonl", "--jobs", "2"],
+            ["scan", "aac"],
+            ["scan"],
+            ["scan", "aac", "--max", "100", "--bogus"],
+            ["scan", "aac", "--max", "100", "extra"],
+            ["scan", "aac", "--ma", "100"],
+            ["scan", "aac", "--max"],
+            ["scan", "-h"],
+            ["scan", "aac", "--max", "1", "--he"],
+            ["report", "--in", "x.jsonl"],
+            ["report", "--in", "x.jsonl", "--format", "yaml"],
+            ["unit", "--d", "13"],
+            ["class-number", "--disc", "40", "--format", "table"],
+            ["class-number"],
+            [],
+            ["-h"],
+            ["nope"],
+            ["--p", "5", "verify"],
+        ],
+    )
+    def test_subcommand_parser_parses_as_the_top_level_parser(self, capsys, argv):
+        def outcome(parse):
+            try:
+                result = vars(parse(argv))
+            except SystemExit as exc:
+                result = exc.code
+            captured = capsys.readouterr()
+            return result, captured.out, captured.err
+
+        assert outcome(cli.parse_args) == outcome(cli.build_parser().parse_args)
+
     def test_calls_do_not_share_options(self, capsys, tmp_path):
         _, csv_out, _ = run(capsys, "verify", "aac", "--p", "5", "--format", "csv")
         _, json_out, _ = run(capsys, "verify", "aac", "--p", "5")

@@ -92,6 +92,38 @@ class TestVerifyThm21:
         with pytest.raises(BadRepresentatives):
             cg.verify_thm21(5, [1, -4], [2, 3])
 
+    def test_representatives_checked_as_by_sorted_reductions(self):
+        # the seen/flags check accepts exactly the sets whose sorted reductions are R and N
+        rng = random.Random(21)
+        for p in (5, 13, 29, 101):
+            qr, nqr = modmath.residue_partition(p)
+            for _ in range(30):
+                a_set = [x + p * rng.randrange(0, 4) for x in qr]
+                b_set = [x + p * rng.randrange(0, 4) for x in nqr]
+                which = rng.choice((a_set, b_set))
+                change = rng.randrange(5)
+                if change == 1:
+                    which[rng.randrange(len(which))] = p * rng.randrange(1, 4)
+                elif change == 2:
+                    which[rng.randrange(len(which))] = rng.choice(which)
+                elif change == 3:
+                    which.append(rng.choice(qr + nqr))
+                elif change == 4:
+                    which.pop()
+                want_a = tuple(sorted(a % p for a in a_set)) == qr
+                want_b = tuple(sorted(b % p for b in b_set)) == nqr
+                try:
+                    cg.verify_thm21(p, a_set, b_set)
+                    got = "ok"
+                except BadRepresentatives as exc:
+                    got = str(exc)
+                if not want_a:
+                    assert got == "a_set does not reduce to the residue set", (p, a_set)
+                elif not want_b:
+                    assert got == "b_set does not reduce to the non-residue set", (p, b_set)
+                else:
+                    assert got == "ok", (p, a_set, b_set)
+
 
 class TestVerifyThm51:
     def test_hand_anchor(self):

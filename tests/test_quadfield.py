@@ -38,6 +38,37 @@ def reference_cf_sqrt(D):
             return a0, tuple(period)
 
 
+def reference_cf_period(disc):
+    """Oracle: (quotients, t, u, norm) from a walk over the whole period.
+
+    Expands (sigma + sqrt(disc))/2, sigma = disc mod 2, from (P, Q) =
+    (sigma, 2) until Q is 2 again, appends the closing quotient, and reads
+    the unit off the convergent p/q before it: t = 2p - sigma*q, u = q,
+    norm = (-1)^l.
+    """
+    s = math.isqrt(disc)
+    sigma = disc % 2
+    P, Q = sigma, 2
+    p_prev, p, q_prev, q = 0, 1, 1, 0
+    quotients = []
+    while True:
+        a = (P + s) // Q
+        quotients.append(a)
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        P = a * Q - P
+        Q = (disc - P * P) // Q
+        if Q == 2:
+            break
+    quotients.append((P + s) // 2)
+    return quotients, 2 * p - sigma * q, q, (-1) ** (len(quotients) - 1)
+
+
+def nonsquare_discriminants(lo, hi):
+    """The nonsquare discriminants (0 or 1 mod 4) in [lo, hi)."""
+    return [d for d in range(lo, hi) if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d]
+
+
 def reference_convergent(D):
     """Oracle: (h, k, l), the convergent h/k at the end of the first period of sqrt(D).
 
@@ -225,6 +256,39 @@ class TestContinuedFraction:
             assert t > 0 and u > 0, disc
             assert norm == (-1) ** (len(quotients) - 1), disc
             assert t * t - disc * u * u == 4 * norm, disc
+
+    def test_short_periods(self):
+        # l = 1 stops at k = 0 on Q_1 = Q_0, l = 2 at k = 1 on P_2 = P_1
+        assert quadfield._cf_period(13) == ([2, 3], 3, 1, -1)
+        assert quadfield._cf_period(5) == ([1, 1], 1, 1, -1)
+        assert quadfield._cf_period(44) == ([3, 3, 6], 20, 3, 1)
+        assert quadfield._cf_period(12) == ([1, 1, 2], 4, 1, 1)
+
+    def test_half_walk_matches_full_walk_to_20000(self):
+        lengths = set()
+        for disc in nonsquare_discriminants(5, 20_000):
+            got = quadfield._cf_period(disc)
+            assert got == reference_cf_period(disc), disc
+            lengths.add((disc % 2, len(got[0]) - 1))
+        # both sigma, odd and even periods, the shortest of each
+        assert {(0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)} <= lengths
+
+    def test_half_walk_matches_full_walk_between_1e6_and_1e8(self):
+        rng = random.Random(13)
+        discs = []
+        while len(discs) < 40:
+            disc = rng.randrange(10**6, 10**8)
+            if disc % 4 == len(discs) % 2 and math.isqrt(disc) ** 2 != disc:
+                discs.append(disc)  # alternately sigma = 0 and 1
+        for disc in discs:
+            assert quadfield._cf_period(disc) == reference_cf_period(disc), disc
+
+    def test_unit_of_discriminant(self):
+        for disc in (5, 8, 12, 13, 44, 1817 * 4, 10**6 + 1):
+            assert quadfield.unit_of_discriminant(disc) == reference_cf_period(disc)[1:], disc
+        for bad in (-3, 0, 1, 4, 6, 7, 9, 16, 10**6):
+            with pytest.raises(BadDiscriminant):
+                quadfield.unit_of_discriminant(bad)
 
     def test_cf_sqrt_and_pell_match_reference_to_4000(self):
         for D in range(2, 4001):

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 import aactk
-from aactk import modmath, scan
+from aactk import modmath, quadfield, scan
 from aactk.errors import OutOfRange, PreconditionViolation
 
 
@@ -80,11 +80,26 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
 
 
 def test_prime_check_cache_stays_bounded():
-    # a scan visits many primes; the validation cache keeps only the latest
+    # a caller may visit many primes; the validation cache keeps only the latest
     primes = scan.plan("aac", 5, 20_000)[:1000]
     assert len(primes) == 1000
-    for _ in scan.run("aac", primes):
-        pass
+    for p in primes:
+        quadfield.fundamental_unit(p)
     info = modmath._check_odd_prime.cache_info()
     assert info.maxsize == modmath._TABLE_CACHE_SIZE
     assert info.currsize <= modmath._TABLE_CACHE_SIZE
+
+
+def test_aac_scan_proves_no_prime_again(monkeypatch):
+    # plan takes the primes from the sieve; the records must not test them again
+    primes = scan.plan("aac", 5, 10_000)
+    expected = []
+    for p in primes:
+        u_mod = quadfield.fundamental_unit(p).u % p
+        expected.append({"p": p, "u_mod_p": u_mod, "holds": u_mod != 0})
+    calls = []
+    is_prime = modmath.is_prime
+    monkeypatch.setattr(modmath, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    modmath._check_odd_prime.cache_clear()
+    assert list(scan.run("aac", primes)) == expected
+    assert calls == []
