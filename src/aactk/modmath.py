@@ -17,7 +17,8 @@ Conventions:
 Every function that takes a prime takes it as an int and validates it
 through as_prime.  Its primality check and the tables square_flags (one
 byte per residue), inverse_table and harmonic_table are cached for the
-last _TABLE_CACHE_SIZE primes.
+last _TABLE_CACHE_SIZE primes; sqrt_mod's least non-residue for the last
+_NONRESIDUE_CACHE_SIZE.
 """
 
 from __future__ import annotations
@@ -133,11 +134,25 @@ def legendre(a: int, p) -> int:
     return 1 if r == 1 else -1
 
 
+# Larger than the number of primes q = 1 mod 4 below 8 * 10^4 (3903), so
+# every q a reduced_forms call asks for (q <= isqrt(disc)//2) stays cached
+# while disc < 2.5 * 10^10; one disc visits all of its 90-215 primes near
+# 2 * 10^5 to 2 * 10^6, which would thrash a 32-entry table.
+_NONRESIDUE_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_NONRESIDUE_CACHE_SIZE)
+def _least_nonresidue(q: int) -> int:
+    """The least quadratic non-residue z >= 2 of the odd prime q, by Euler's
+    criterion; cached for the last _NONRESIDUE_CACHE_SIZE primes asked."""
+    return next(z for z in itertools.count(2) if pow(z, (q - 1) // 2, q) != 1)
+
+
 def sqrt_mod(a: int, q: int) -> int | None:
     """A root r in [0, q-1] of r^2 = a (mod q), or None if a is a non-residue.
 
     q is an odd prime, not checked.  Tonelli-Shanks with q - 1 = t * 2^e,
-    t odd, and z a non-residue.
+    t odd, and z = _least_nonresidue(q).
     """
     a %= q
     if pow(a, (q - 1) // 2, q) != 1:  # Euler's criterion; 0 for a = 0
@@ -147,8 +162,7 @@ def sqrt_mod(a: int, q: int) -> int | None:
     t, e = q - 1, 0
     while t % 2 == 0:
         t, e = t // 2, e + 1
-    z = next(z for z in itertools.count(2) if pow(z, (q - 1) // 2, q) != 1)
-    c, x, r = pow(z, t, q), pow(a, t, q), pow(a, (t + 1) // 2, q)
+    c, x, r = pow(_least_nonresidue(q), t, q), pow(a, t, q), pow(a, (t + 1) // 2, q)
     while x != 1:
         i, y = 0, x
         while y != 1:

@@ -4,20 +4,22 @@ Continued fractions of sqrt(D), fundamental units of Q(sqrt(p)) in the
 (t + u*sqrt(p))/2 normalization, least Pell solutions, regulators, and
 class numbers by two independent routes.
 
-Every unit comes from one continued-fraction walk, _cf_period(disc), over
-(sigma + sqrt(disc))/2, sigma = disc mod 2: the convergent before the end
-of its period gives the fundamental unit (t + u*sqrt(disc))/2 of the order
-of discriminant disc.  unit_of_discriminant(disc) is that walk for any
-nonsquare discriminant; fundamental_unit(p) and class_number_dirichlet(d)
-walk disc = p or d, pell_min_solution(D) and cf_sqrt(D) walk disc = 4D,
-where (0 + sqrt(4D))/2 = sqrt(D).
+Every unit comes from one continued-fraction walk, unit_of_discriminant(disc),
+over (sigma + sqrt(disc))/2, sigma = disc mod 2: it gives the
+fundamental unit (t + u*sqrt(disc))/2 of the order of discriminant disc.
+fundamental_unit(p) and class_number_dirichlet(d) walk disc = p or d,
+pell_min_solution(D) walks disc = 4D, where (0 + sqrt(4D))/2 = sqrt(D).
 
-The walk stops halfway.  After a0 the quotients a_1 ... a_(l-1) of a
-period read the same backwards, and the matrices [[a, 1], [1, 0]] are
-symmetric, so the product over the second half of the period is the
-transpose of the product over the first.  The convergents at the middle
-of the period therefore fix the unit exactly, in about l/2 steps of the
-period's l (the _cf_period docstring has the algebra).
+The walk stops halfway and carries only the denominators q_k of the
+convergents.  After a0 the quotients a_1 ... a_(l-1) of a period read
+the same backwards, and the matrices [[a, 1], [1, 0]] are symmetric, so
+the product over the second half of the period is the transpose of the
+product over the first: u is a sum of two products of the q at the
+middle, in about l/2 steps of the period's l.  t is then the exact
+square root of disc*u^2 + 4*norm, and that it is exact proves the pair
+a unit of that norm; only at disc = 5 would the other norm pass too.
+The unit_of_discriminant docstring has the algebra.  cf_sqrt(D) walks
+the same quotients of disc = 4D without the q.
 
 The class numbers:
 
@@ -98,26 +100,23 @@ def _require_nonsquare(D: int) -> None:
         raise PerfectSquare(f"D = {D} is a perfect square")
 
 
-def _cf_period(disc: int) -> tuple[list[int], int, int, int]:
-    """One period of the continued fraction of omega = (sigma + sqrt(disc))/2.
+def unit_of_discriminant(disc: int) -> tuple[int, int, int]:
+    """(t, u, norm) of the fundamental unit (t + u*sqrt(disc))/2 of the
+    order of nonsquare discriminant disc > 0, with t^2 - disc*u^2 = 4*norm.
 
-    disc > 0 is a nonsquare discriminant (0 or 1 mod 4) and sigma = disc
-    mod 2, so omega generates the order of discriminant disc.  Returns
-    (quotients, t, u, norm): quotients is a0 and the l terms of the
-    period, the last of them 2*a0 - sigma; p/q = p_(l-1)/q_(l-1) is the
-    convergent before that last term, and eps = p - q*conj(omega) =
-    (t + u*sqrt(disc))/2 with t = 2p - sigma*q, u = q is the fundamental
-    unit of the order, of norm (-1)^l.  Raises ComputationBug unless
-    t^2 - disc*u^2 = 4*norm.
-
-    The complete quotients x_k = (P_k + sqrt(disc))/Q_k start from
-    (P_0, Q_0) = (sigma, 2); a_k = floor(x_k), P_(k+1) = a_k Q_k - P_k,
+    One continued-fraction walk over omega = (sigma + sqrt(disc))/2,
+    sigma = disc mod 2, which generates the order.  Its complete
+    quotients x_k = (P_k + sqrt(disc))/Q_k start from (P_0, Q_0) =
+    (sigma, 2); a_k = floor(x_k), P_(k+1) = a_k Q_k - P_k,
     Q_(k+1) = (disc - P_(k+1)^2)/Q_k, and Q returns to 2 exactly at the
-    end of each period (Cohen, A Course in Computational Algebraic Number
-    Theory, 5.7).  With M_j = [[a_j, 1], [1, 0]] and p_-1 = 1, q_-1 = 0,
-    p_-2 = 0, q_-2 = 1,
+    end of each period, of length l (Cohen, A Course in Computational
+    Algebraic Number Theory, 5.7).  With M_j = [[a_j, 1], [1, 0]] and
+    p_-1 = 1, q_-1 = 0, p_-2 = 0, q_-2 = 1,
 
-        M_0 M_1 ... M_k = [[p_k, p_(k-1)], [q_k, q_(k-1)]].
+        M_0 M_1 ... M_k = [[p_k, p_(k-1)], [q_k, q_(k-1)]],
+
+    and eps = p_(l-1) - q_(l-1)*conj(omega) = (t + u*sqrt(disc))/2 with
+    u = q_(l-1) is the fundamental unit, of norm (-1)^l.
 
     Where the walk stops.  For k >= 1 the reversal x*_k = -1/conj(x_k)
     equals (P_k + sqrt(disc))/Q_(k-1), and x*_(k+1) = a_k + 1/x*_k, so
@@ -130,53 +129,88 @@ def _cf_period(disc: int) -> tuple[list[int], int, int, int]:
     shift; so within the first period Q_(k+1) = Q_k only at l = 2k + 1
     (k = 0 is Q_1 = 2, l = 1), and P_(k+1) = P_k, k >= 1, only at l = 2k.
 
-    The unit from the middle.  The M_j are symmetric, so the product over
-    a mirrored run is the transpose of the product over the run it
+    Why q alone fixes u.  The M_j are symmetric, so the product over a
+    mirrored run is the transpose of the product over the run it
     mirrors; write A = M_0 ... M_k and use M_1 ... M_j = M_0^-1 (M_0 ...
     M_j), with M_0^-1 = [[0, 1], [1, -a0]] symmetric too.
       * l = 2k + 1: a_(k+1) ... a_(2k) = a_k ... a_1, so
         M_0 ... M_(l-1) = A (M_0^-1 A)^T = A A^T M_0^-1, whose first
-        column (x, u) = (p_(l-1), q_(l-1)) is the second column of A A^T:
-        x = p_k q_k + p_(k-1) q_(k-1), u = q_k^2 + q_(k-1)^2.
+        column is the second column of A A^T; its bottom entry is
+        u = q_(l-1) = q_k^2 + q_(k-1)^2, and the norm is -1.
       * l = 2k: a_(k+1) ... a_(2k-1) = a_(k-1) ... a_1, so with
         B = M_0 ... M_(k-1), M_0 ... M_(l-1) = A B^T M_0^-1 and
-        x = p_k q_(k-1) + p_(k-1) q_(k-2), u = q_k q_(k-1) + q_(k-1) q_(k-2).
-    The quotients are a_0 ... a_k, then a_(l-1-k) ... a_1 mirrored, then
-    2*a0 - sigma.
+        u = q_k q_(k-1) + q_(k-1) q_(k-2), and the norm is +1.
+    Neither needs a numerator p_k, so the walk carries only P, Q,
+    q_(k-2) and q_(k-1).
+
+    Reading t back.  t > 0 and t^2 = disc*u^2 + 4*norm, so
+    t = isqrt(disc*u^2 + 4*norm), and the walk raises ComputationBug
+    unless that square is exact: the same equation that proves
+    (t + u*sqrt(disc))/2 a unit of the stated norm.  The guard cannot
+    tell the two norms apart only where disc*u^2 - 4 and disc*u^2 + 4 are
+    both squares t2^2 and t1^2: then (t1 - t2)(t1 + t2) = 8 forces
+    (t1, t2) = (3, 1) and disc*u^2 = 5, so disc = 5 alone, whose unit
+    (1 + sqrt(5))/2 has norm -1.
+    """
+    if disc <= 0 or disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
+        raise BadDiscriminant(f"{disc} is not a positive nonsquare discriminant")
+    s = math.isqrt(disc)
+    P, Q = disc % 2, 2
+    q_2, q_1 = 1, 0  # q_(k-2), q_(k-1) before step k
+    while True:
+        a = (P + s) // Q
+        q = a * q_1 + q_2
+        P_next = a * Q - P
+        Q_next = (disc - P_next * P_next) // Q
+        if Q_next == Q:
+            u, norm = q * q + q_1 * q_1, -1
+            break
+        # at k = 0, P_1 = P_0 only for disc = 5, where Q_1 = Q_0 came first
+        if P_next == P:
+            u, norm = q_1 * (q + q_2), 1
+            break
+        q_2, q_1 = q_1, q
+        P, Q = P_next, Q_next
+    square = disc * u * u + 4 * norm
+    t = math.isqrt(square)
+    if t * t != square:
+        raise ComputationBug(f"disc = {disc}: ({t}, {u}) is not a unit of norm {norm}")
+    return t, u, norm
+
+
+def _cf_quotients(disc: int) -> list[int]:
+    """a0 and one period of the continued fraction of (sigma + sqrt(disc))/2.
+
+    disc > 0 is a nonsquare discriminant and sigma = disc mod 2.  The same
+    (P, Q) walk as unit_of_discriminant's, stopping at the same middle of
+    the period, with no convergents: the quotients are a_0 ... a_k, then
+    the mirror a_(l-1-k) ... a_1, then 2*a0 - sigma.
     """
     s = math.isqrt(disc)
     sigma = disc % 2
     P, Q = sigma, 2
-    # p_(k-2), p_(k-1), q_(k-2), q_(k-1) before step k
-    p_2, p_1, q_2, q_1 = 0, 1, 1, 0
     quotients = []
     while True:
         a = (P + s) // Q
         quotients.append(a)
-        p, q = a * p_1 + p_2, a * q_1 + q_2
         P_next = a * Q - P
         Q_next = (disc - P_next * P_next) // Q
         if Q_next == Q:
-            x, u, mirror = p * q + p_1 * q_1, q * q + q_1 * q_1, quotients[:0:-1]
+            mirror = quotients[:0:-1]
             break
-        # at k = 0, P_1 = P_0 only for disc = 5, where Q_1 = Q_0 came first
         if P_next == P:
-            x, u, mirror = p * q_1 + p_1 * q_2, q * q_1 + q_1 * q_2, quotients[-2:0:-1]
+            mirror = quotients[-2:0:-1]
             break
-        p_2, p_1, q_2, q_1 = p_1, p, q_1, q
         P, Q = P_next, Q_next
     quotients += mirror
     quotients.append(2 * quotients[0] - sigma)
-    t, norm = 2 * x - sigma * u, (-1) ** (len(quotients) - 1)
-    if t * t - disc * u * u != 4 * norm:
-        raise ComputationBug(f"disc = {disc}: ({t}, {u}) is not a unit of norm {norm}")
-    return quotients, t, u, norm
+    return quotients
 
 
 def cf_sqrt(D: int) -> CFExpansion:
     """Continued fraction of sqrt(D): the period of (0 + sqrt(4D))/2."""
     _require_nonsquare(D)
-    quotients = _cf_period(4 * D)[0]
+    quotients = _cf_quotients(4 * D)
     return CFExpansion(D=D, a0=quotients[0], period=tuple(quotients[1:]))
 
 
@@ -187,19 +221,11 @@ def pell_min_solution(D: int) -> PellSolution:
     -1 (odd period) the least solution is its square.
     """
     _require_nonsquare(D)
-    _, t, y, norm = _cf_period(4 * D)
+    t, y, norm = unit_of_discriminant(4 * D)
     x = t // 2
     if norm == 1:
         return PellSolution(D=D, u1=x, v1=y)
     return PellSolution(D=D, u1=x * x + D * y * y, v1=2 * x * y)
-
-
-def unit_of_discriminant(disc: int) -> tuple[int, int, int]:
-    """(t, u, norm) of the fundamental unit (t + u*sqrt(disc))/2 of the
-    order of nonsquare discriminant disc > 0, with t^2 - disc*u^2 = 4*norm."""
-    if disc <= 0 or disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
-        raise BadDiscriminant(f"{disc} is not a positive nonsquare discriminant")
-    return _cf_period(disc)[1:]
 
 
 def fundamental_unit(p) -> FundamentalUnit:
@@ -303,7 +329,7 @@ def class_number_dirichlet(d: int) -> int:
     """
     if not is_fundamental_discriminant(d):
         raise BadDiscriminant(f"{d} is not a positive fundamental discriminant")
-    _, t, u, norm = _cf_period(d)
+    t, u, norm = unit_of_discriminant(d)
     log_eps = _ln_half_quad(t, u, d)
     log_plus = 2 * log_eps if norm == -1 else log_eps
 

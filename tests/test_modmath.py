@@ -127,6 +127,16 @@ class TestSqrtMod:
         assert modmath.sqrt_mod(-1, 13) in (5, 8)
         assert modmath.sqrt_mod(-1, 7) is None
 
+    def test_nonresidue_searched_once_per_prime(self):
+        primes = [q for q in modmath.primes_in(3, 2000) if q % 4 == 1]
+        for q in primes:
+            modmath.sqrt_mod(q - 1, q)
+        misses = modmath._least_nonresidue.cache_info().misses
+        for q in primes:
+            modmath.sqrt_mod(q - 1, q)
+            modmath.sqrt_mod(4, q)
+        assert modmath._least_nonresidue.cache_info().misses == misses
+
 
 class TestKronecker:
     def test_anchors(self):

@@ -5,7 +5,13 @@ import mpmath
 import pytest
 
 from aactk import modmath, quadfield
-from aactk.errors import BadDiscriminant, OutOfRange, PerfectSquare, WrongResidueClass
+from aactk.errors import (
+    BadDiscriminant,
+    ComputationBug,
+    OutOfRange,
+    PerfectSquare,
+    WrongResidueClass,
+)
 
 
 def brute_fundamental_unit(p, u_limit=10**6):
@@ -252,24 +258,39 @@ class TestContinuedFraction:
         for disc in range(5, 10_001):
             if disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
                 continue
-            quotients, t, u, norm = quadfield._cf_period(disc)
+            t, u, norm = quadfield.unit_of_discriminant(disc)
             assert t > 0 and u > 0, disc
-            assert norm == (-1) ** (len(quotients) - 1), disc
+            assert norm == (-1) ** (len(quadfield._cf_quotients(disc)) - 1), disc
             assert t * t - disc * u * u == 4 * norm, disc
 
     def test_short_periods(self):
-        # l = 1 stops at k = 0 on Q_1 = Q_0, l = 2 at k = 1 on P_2 = P_1
-        assert quadfield._cf_period(13) == ([2, 3], 3, 1, -1)
-        assert quadfield._cf_period(5) == ([1, 1], 1, 1, -1)
-        assert quadfield._cf_period(44) == ([3, 3, 6], 20, 3, 1)
-        assert quadfield._cf_period(12) == ([1, 1, 2], 4, 1, 1)
+        # l = 1 stops at k = 0 on Q_1 = Q_0, l = 2 at k = 1 on P_2 = P_1;
+        # 5 - 4 = 1^2 and 5 + 4 = 3^2, so at disc = 5 alone the isqrt guard
+        # would pass either norm and only this anchor pins the -1
+        for disc, quotients, unit in (
+            (13, [2, 3], (3, 1, -1)),
+            (5, [1, 1], (1, 1, -1)),
+            (44, [3, 3, 6], (20, 3, 1)),
+            (12, [1, 1, 2], (4, 1, 1)),
+        ):
+            assert quadfield._cf_quotients(disc) == quotients, disc
+            assert quadfield.unit_of_discriminant(disc) == unit, disc
+
+    def test_isqrt_guard_raises(self, monkeypatch):
+        # every isqrt but that of disc itself one too large: t^2 is then
+        # not disc*u^2 + 4*norm, and the walk must refuse the unit
+        isqrt = math.isqrt
+        monkeypatch.setattr(math, "isqrt", lambda n: isqrt(n) + (n != 13))
+        with pytest.raises(ComputationBug):
+            quadfield.unit_of_discriminant(13)
 
     def test_half_walk_matches_full_walk_to_20000(self):
         lengths = set()
         for disc in nonsquare_discriminants(5, 20_000):
-            got = quadfield._cf_period(disc)
-            assert got == reference_cf_period(disc), disc
-            lengths.add((disc % 2, len(got[0]) - 1))
+            reference = reference_cf_period(disc)
+            assert quadfield.unit_of_discriminant(disc) == reference[1:], disc
+            assert quadfield._cf_quotients(disc) == reference[0], disc
+            lengths.add((disc % 2, len(reference[0]) - 1))
         # both sigma, odd and even periods, the shortest of each
         assert {(0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)} <= lengths
 
@@ -281,7 +302,9 @@ class TestContinuedFraction:
             if disc % 4 == len(discs) % 2 and math.isqrt(disc) ** 2 != disc:
                 discs.append(disc)  # alternately sigma = 0 and 1
         for disc in discs:
-            assert quadfield._cf_period(disc) == reference_cf_period(disc), disc
+            reference = reference_cf_period(disc)
+            assert quadfield.unit_of_discriminant(disc) == reference[1:], disc
+            assert quadfield._cf_quotients(disc) == reference[0], disc
 
     def test_unit_of_discriminant(self):
         for disc in (5, 8, 12, 13, 44, 1817 * 4, 10**6 + 1):
@@ -386,7 +409,7 @@ class TestFundamentalUnit:
                 assert (u.t, u.u, u.norm_sign) == reference_unit(p), p
         for d in range(5, 4001):
             if quadfield.is_fundamental_discriminant(d):
-                assert quadfield._cf_period(d)[1:] == reference_unit(d), d
+                assert quadfield.unit_of_discriminant(d) == reference_unit(d), d
 
 
 class TestRegulator:
