@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from . import modmath, quadfield
-from .errors import EvenD, NotSquarefree, OutOfRange, PerfectSquare
+from .errors import EvenD, NotSquarefree, OutOfRange
 from .modmath import squarefree
 
 
@@ -53,9 +53,6 @@ def gaac_check(D: int) -> GaacVerdict:
         raise OutOfRange(f"D = {D} must be >= 3")
     if D % 2 == 0:
         raise EvenD(f"D = {D} is even; the divisibility claim is for odd D")
-    s = math.isqrt(D)
-    if s * s == D:
-        raise PerfectSquare(f"D = {D} is a perfect square")
     pell = quadfield.pell_min_solution(D)
     v1_mod = pell.v1 % D
     h4d = quadfield.form_class_number(4 * D)
@@ -77,8 +74,8 @@ def reproduce_counterexamples() -> list[GaacVerdict]:
     return [gaac_check(D) for D in KNOWN_ODD_FAILURES]
 
 
-# The prime cutoff z of the partial density constant: count_squarefree_n2m1's
-# default, and the one the density scan's summary prints.
+# The prime cutoff z of the partial density constant that count_squarefree_n2m1
+# reports and the density scan's summary prints.
 PARTIAL_PRODUCT_Z = 1000
 
 
@@ -89,7 +86,6 @@ class SieveCount:
     x: int
     count: int
     partial_constant: float
-    z: int
 
 
 @lru_cache(maxsize=8)
@@ -139,15 +135,14 @@ def count_squarefree_n2m1_in(lo: int, hi: int) -> int:
     return bad.count(0)
 
 
-def count_squarefree_n2m1(x: int, z: int = PARTIAL_PRODUCT_Z) -> SieveCount:
+def count_squarefree_n2m1(x: int) -> SieveCount:
     """Count n in [2, x] with n^2 - 1 squarefree (see count_squarefree_n2m1_in)."""
     if x < 2:
         raise OutOfRange(f"x = {x} must be >= 2")
     return SieveCount(
         x=x,
         count=count_squarefree_n2m1_in(2, x),
-        partial_constant=partial_density_constant(z),
-        z=z,
+        partial_constant=partial_density_constant(PARTIAL_PRODUCT_Z),
     )
 
 

@@ -339,20 +339,13 @@ def square_flags(p: int) -> bytes:
     return bytes(flags)
 
 
-def residue_partition(p) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """(qr, nqr): the residues and non-residues in [1, p-1], ascending."""
+def residue_sets(p) -> ResidueSets:
+    """Quadratic residue and non-residue sets with their products A, B mod p^2."""
     p = require_1mod4(p)
     flags = square_flags(p)
     qr = tuple(itertools.compress(range(p), flags))
     flip = bytes.maketrans(b"\0\1", b"\1\0")
     nqr = tuple(itertools.compress(range(1, p), flags[1:].translate(flip)))
-    return qr, nqr
-
-
-def residue_sets(p) -> ResidueSets:
-    """Quadratic residue and non-residue sets with their products A, B mod p^2."""
-    p = require_1mod4(p)
-    qr, nqr = residue_partition(p)
     p2 = p * p
     return ResidueSets(p=p, qr=qr, nqr=nqr, A=prod_mod(qr, p2), B=prod_mod(nqr, p2))
 

@@ -18,8 +18,9 @@ product over the first: u is a sum of two products of the q at the
 middle, in about l/2 steps of the period's l.  t is then the exact
 square root of disc*u^2 + 4*norm, and that it is exact proves the pair
 a unit of that norm; only at disc = 5 would the other norm pass too.
-The unit_of_discriminant docstring has the algebra.  cf_sqrt(D) walks
-the same quotients of disc = 4D without the q.
+The unit_of_discriminant docstring has the algebra.  cf_sqrt(D) reads
+the quotients of sqrt(D) back off the unit of disc = 4D by Euclid's
+algorithm.
 
 The class numbers:
 
@@ -178,40 +179,28 @@ def unit_of_discriminant(disc: int) -> tuple[int, int, int]:
     return t, u, norm
 
 
-def _cf_quotients(disc: int) -> list[int]:
-    """a0 and one period of the continued fraction of (sigma + sqrt(disc))/2.
-
-    disc > 0 is a nonsquare discriminant and sigma = disc mod 2.  The same
-    (P, Q) walk as unit_of_discriminant's, stopping at the same middle of
-    the period, with no convergents: the quotients are a_0 ... a_k, then
-    the mirror a_(l-1-k) ... a_1, then 2*a0 - sigma.
-    """
-    s = math.isqrt(disc)
-    sigma = disc % 2
-    P, Q = sigma, 2
-    quotients = []
-    while True:
-        a = (P + s) // Q
-        quotients.append(a)
-        P_next = a * Q - P
-        Q_next = (disc - P_next * P_next) // Q
-        if Q_next == Q:
-            mirror = quotients[:0:-1]
-            break
-        if P_next == P:
-            mirror = quotients[-2:0:-1]
-            break
-        P, Q = P_next, Q_next
-    quotients += mirror
-    quotients.append(2 * quotients[0] - sigma)
-    return quotients
-
-
 def cf_sqrt(D: int) -> CFExpansion:
-    """Continued fraction of sqrt(D): the period of (0 + sqrt(4D))/2."""
+    """Continued fraction of sqrt(D), read off the unit x + y*sqrt(D) of
+    discriminant 4D.
+
+    x/y is the convergent [a0; a1, ..., a_(l-1)] at the end of the first
+    period and the norm is (-1)^l, so Euclid's algorithm on (x, y) gives
+    the quotients.  Where a_(l-1) = 1 it stops one quotient early, with
+    its last quotient 1 too large; the norm's parity tells when, and the
+    last quotient c is split into c - 1, 1.  The period closes with 2*a0.
+    """
     _require_nonsquare(D)
-    quotients = _cf_quotients(4 * D)
-    return CFExpansion(D=D, a0=quotients[0], period=tuple(quotients[1:]))
+    t, y, norm = unit_of_discriminant(4 * D)
+    x = t // 2
+    quotients = []
+    while y:
+        quotients.append(x // y)
+        x, y = y, x % y
+    if (-1) ** len(quotients) != norm:
+        quotients[-1] -= 1
+        quotients.append(1)
+    a0 = quotients[0]
+    return CFExpansion(D=D, a0=a0, period=(*quotients[1:], 2 * a0))
 
 
 def pell_min_solution(D: int) -> PellSolution:
@@ -295,22 +284,15 @@ def _chi_half(d: int) -> list[int]:
     return chi
 
 
-def _lsum_float(d: int) -> float:
-    total = 0.0
+def _lsum(d: int, lib=math) -> float:
+    """sum_{a=1}^{d-1} chi(a) log sin(pi a / d) in lib's arithmetic, math or
+    mpmath (at the caller's mpmath.workdps)."""
+    pi = +lib.pi
+    total = 0
     for a, chi in enumerate(_chi_half(d)):
         if chi:
-            total += chi * math.log(math.sin(math.pi * a / d))
-    return 2 * total
-
-
-def _lsum_mpmath(d: int, dps: int):
-    with mpmath.workdps(dps):
-        total = mpmath.mpf(0)
-        pi = +mpmath.pi
-        for a, chi in enumerate(_chi_half(d)):
-            if chi:
-                total += chi * mpmath.log(mpmath.sin(pi * a / d))
-        return float(2 * total)
+            total += chi * lib.log(lib.sin(pi * a / d))
+    return float(2 * total)
 
 
 def class_number_dirichlet(d: int) -> int:
@@ -340,9 +322,10 @@ def class_number_dirichlet(d: int) -> int:
             return None
         return h
 
-    h = _round_strict(_lsum_float(d))
+    h = _round_strict(_lsum(d))
     if h is None:
-        h = _round_strict(_lsum_mpmath(d, _FALLBACK_DPS))
+        with mpmath.workdps(_FALLBACK_DPS):
+            h = _round_strict(_lsum(d, mpmath))
         if h is None:
             raise PrecisionLoss(f"d = {d}: analytic class number failed to round")
     return h

@@ -235,7 +235,7 @@ def test_13_gaac_counterexamples_and_scan():
 def test_14_squarefree_density():
     t0 = time.monotonic()
     x = 10_000
-    sc = gaac.count_squarefree_n2m1(x, z=1000)
+    sc = gaac.count_squarefree_n2m1(x)
     within = abs(sc.count / x - sc.partial_constant) < 0.01
     direct = 0
     for n in range(2, x + 1):

@@ -96,7 +96,8 @@ class TestVerifyThm21:
         # the seen/flags check accepts exactly the sets whose sorted reductions are R and N
         rng = random.Random(21)
         for p in (5, 13, 29, 101):
-            qr, nqr = modmath.residue_partition(p)
+            rs = modmath.residue_sets(p)
+            qr, nqr = rs.qr, rs.nqr
             for _ in range(30):
                 a_set = [x + p * rng.randrange(0, 4) for x in qr]
                 b_set = [x + p * rng.randrange(0, 4) for x in nqr]

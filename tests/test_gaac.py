@@ -43,7 +43,7 @@ class TestGaacCheck:
     def test_guards(self):
         with pytest.raises(EvenD):
             gaac.gaac_check(8)
-        with pytest.raises(PerfectSquare):
+        with pytest.raises(PerfectSquare, match="^D = 9 is a perfect square$"):
             gaac.gaac_check(9)
         with pytest.raises(OutOfRange):
             gaac.gaac_check(1)

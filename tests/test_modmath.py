@@ -291,18 +291,11 @@ class TestResidueSets:
     def test_wrong_residue_class(self):
         with pytest.raises(WrongResidueClass):
             modmath.residue_sets(7)
-        with pytest.raises(WrongResidueClass):
-            modmath.residue_partition(7)
 
     def test_square_flags_mark_the_squares(self):
         for p in modmath.primes_in(3, 600):
             squares = {x * x % p for x in range(1, p)}
             assert modmath.square_flags(p) == bytes(a in squares for a in range(p)), p
-
-    def test_partition_is_the_sets_of_residue_sets(self):
-        for p in [p for p in modmath.primes_in(5, 300) if p % 4 == 1] + [10009]:
-            rs = modmath.residue_sets(p)
-            assert modmath.residue_partition(p) == (rs.qr, rs.nqr), p
 
     def test_exact_cap(self):
         # there is no size cap: 10009 = 1 mod 4 lies above 10^4 and still gets A, B mod p^2

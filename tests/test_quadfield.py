@@ -70,6 +70,12 @@ def reference_cf_period(disc):
     return quotients, 2 * p - sigma * q, q, (-1) ** (len(quotients) - 1)
 
 
+def cf_quotients(D):
+    """a0 and the period of cf_sqrt(D) as one list, the shape of reference_cf_period's."""
+    cf = quadfield.cf_sqrt(D)
+    return [cf.a0, *cf.period]
+
+
 def nonsquare_discriminants(lo, hi):
     """The nonsquare discriminants (0 or 1 mod 4) in [lo, hi)."""
     return [d for d in range(lo, hi) if d % 4 in (0, 1) and math.isqrt(d) ** 2 != d]
@@ -260,21 +266,26 @@ class TestContinuedFraction:
                 continue
             t, u, norm = quadfield.unit_of_discriminant(disc)
             assert t > 0 and u > 0, disc
-            assert norm == (-1) ** (len(quadfield._cf_quotients(disc)) - 1), disc
+            assert norm == (-1) ** (len(reference_cf_period(disc)[0]) - 1), disc
             assert t * t - disc * u * u == 4 * norm, disc
 
     def test_short_periods(self):
         # l = 1 stops at k = 0 on Q_1 = Q_0, l = 2 at k = 1 on P_2 = P_1;
         # 5 - 4 = 1^2 and 5 + 4 = 3^2, so at disc = 5 alone the isqrt guard
         # would pass either norm and only this anchor pins the -1
-        for disc, quotients, unit in (
-            (13, [2, 3], (3, 1, -1)),
-            (5, [1, 1], (1, 1, -1)),
-            (44, [3, 3, 6], (20, 3, 1)),
-            (12, [1, 1, 2], (4, 1, 1)),
+        for disc, unit in (
+            (13, (3, 1, -1)),
+            (5, (1, 1, -1)),
+            (44, (20, 3, 1)),
+            (12, (4, 1, 1)),
         ):
-            assert quadfield._cf_quotients(disc) == quotients, disc
             assert quadfield.unit_of_discriminant(disc) == unit, disc
+        # Euclid on 2 + sqrt(3) reads 2/1 as [2], one quotient short of the
+        # even period: the parity split makes it [1; 1]; 10 + 3 sqrt(11)
+        # reads [3; 3] as it is
+        for D, expansion in ((3, (1, (1, 2))), (11, (3, (3, 6)))):
+            cf = quadfield.cf_sqrt(D)
+            assert (cf.a0, cf.period) == expansion, D
 
     def test_isqrt_guard_raises(self, monkeypatch):
         # every isqrt but that of disc itself one too large: t^2 is then
@@ -289,7 +300,8 @@ class TestContinuedFraction:
         for disc in nonsquare_discriminants(5, 20_000):
             reference = reference_cf_period(disc)
             assert quadfield.unit_of_discriminant(disc) == reference[1:], disc
-            assert quadfield._cf_quotients(disc) == reference[0], disc
+            if disc % 4 == 0:
+                assert cf_quotients(disc // 4) == reference[0], disc
             lengths.add((disc % 2, len(reference[0]) - 1))
         # both sigma, odd and even periods, the shortest of each
         assert {(0, 1), (1, 1), (0, 2), (1, 2), (0, 3), (1, 3)} <= lengths
@@ -304,7 +316,8 @@ class TestContinuedFraction:
         for disc in discs:
             reference = reference_cf_period(disc)
             assert quadfield.unit_of_discriminant(disc) == reference[1:], disc
-            assert quadfield._cf_quotients(disc) == reference[0], disc
+            if disc % 4 == 0:
+                assert cf_quotients(disc // 4) == reference[0], disc
 
     def test_unit_of_discriminant(self):
         for disc in (5, 8, 12, 13, 44, 1817 * 4, 10**6 + 1):
@@ -498,26 +511,29 @@ class TestClassNumbers:
 
     def test_l_series_estimate_brackets_exact(self):
         for d in (5, 13, 40, 229):
-            exact = -quadfield._lsum_float(d) / math.sqrt(d)
+            exact = -quadfield._lsum(d) / math.sqrt(d)
             approx, bound = l_series_estimate(d)
             assert abs(approx - exact) <= bound, d
 
     def test_extended_precision_fallback(self, monkeypatch):
         # ruin the float sum: the mpmath retry must still land on h = 3
-        monkeypatch.setattr(quadfield, "_lsum_float", lambda d: -1.0)
+        lsum = quadfield._lsum
+        monkeypatch.setattr(
+            quadfield, "_lsum", lambda d, lib=math: -1.0 if lib is math else lsum(d, lib)
+        )
         assert quadfield.class_number_dirichlet(229) == 3
 
     def test_precision_loss_raised(self, monkeypatch):
         from aactk.errors import PrecisionLoss
 
-        monkeypatch.setattr(quadfield, "_lsum_float", lambda d: -1.0)
-        monkeypatch.setattr(quadfield, "_lsum_mpmath", lambda d, dps: -1.0)
+        monkeypatch.setattr(quadfield, "_lsum", lambda d, lib=math: -1.0)
         with pytest.raises(PrecisionLoss):
             quadfield.class_number_dirichlet(229)
 
     def test_mpmath_lsum_matches_float(self):
         for d in (5, 40, 229):
-            assert abs(quadfield._lsum_mpmath(d, 30) - quadfield._lsum_float(d)) < 1e-9
+            with mpmath.workdps(30):
+                assert abs(quadfield._lsum(d, mpmath) - quadfield._lsum(d)) < 1e-9
 
     def test_is_fundamental_discriminant(self):
         assert quadfield.is_fundamental_discriminant(5)
@@ -535,11 +551,12 @@ class TestLSum:
         fundamental = [d for d in range(5, 2001) if quadfield.is_fundamental_discriminant(d)]
         primes = [p for p in modmath.primes_in(2001, 3000) if p % 4 == 1]
         for d in fundamental + primes:
-            assert abs(quadfield._lsum_float(d) - reference_lsum(d)) < 1e-9, d
+            assert abs(quadfield._lsum(d) - reference_lsum(d)) < 1e-9, d
 
     def test_mpmath_half_sum_matches_full_sum(self):
         for d in (5, 8, 12, 229, 1229, 1996, 2953):
-            assert abs(quadfield._lsum_mpmath(d, 30) - reference_lsum(d)) < 1e-9, d
+            with mpmath.workdps(30):
+                assert abs(quadfield._lsum(d, mpmath) - reference_lsum(d)) < 1e-9, d
 
     def test_prime_table_is_the_kronecker_symbol(self):
         for p in modmath.primes_in(5, 3000):
