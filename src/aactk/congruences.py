@@ -144,31 +144,28 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     raises DivisibilityBug.
     """
     p = modmath.require_1mod4(p)
-    a_set = [int(a) for a in a_set]
-    b_set = [int(b) for b in b_set]
-    if any(a <= 0 for a in a_set + b_set):
+    a_set = list(map(int, a_set))
+    b_set = list(map(int, b_set))
+    if min(a_set, default=1) <= 0 or min(b_set, default=1) <= 0:
         raise BadRepresentatives("all representatives must be positive")
     flags = modmath.square_flags(p)
-    seen = bytearray(p)
+    p2 = p * p
+    a_red = modmath.residues_mod(a_set, p2)
+    b_red = modmath.residues_mod(b_set, p2)
 
-    def tiles(reps: list[int], square: int) -> bool:
-        # (p-1)/2 classes, each nonzero, of the right kind and hit once
-        if len(reps) != (p - 1) // 2:
-            return False
-        for r in reps:
-            r %= p
-            if not r or flags[r] != square or seen[r]:
-                return False
-            seen[r] = 1
-        return True
+    def tiles(red, classes) -> bool:
+        # sorted, the reductions mod p are the classes, each hit once
+        r = red % p
+        r.sort()
+        return r.shape == classes.shape and bool((r == classes).all())
 
-    if not tiles(a_set, 1):
+    if not tiles(a_red, flags.nonzero()[0]):
         raise BadRepresentatives("a_set does not reduce to the residue set")
-    if not tiles(b_set, 0):
+    if not tiles(b_red, (~flags).nonzero()[0][1:]):
         raise BadRepresentatives("b_set does not reduce to the non-residue set")
 
-    a_star = modmath.prod_mod(a_set, p * p)
-    b_star = modmath.prod_mod(b_set, p * p)
+    a_star = modmath.prod_mod(a_set, p2)
+    b_star = modmath.prod_mod(b_set, p2)
     total = a_star + b_star
     if total % p != 0:
         raise DivisibilityBug(f"p = {p} does not divide A* + B*")
@@ -176,16 +173,13 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
 
     data = unit_class_data(p)
     inv = modmath.inverse_table(p)
-    sum_a = sum(a // p * inv[a % p] for a in a_set) % p
-    sum_b = sum(b // p * inv[b % p] for b in b_set) % p
-    rhs = (data.ratio_2hu_t + a_star * sum_a + b_star * sum_b) % p
-    return _report(
-        Statement.THM21,
-        p,
-        {"a_set": list(a_set), "b_set": list(b_set)},
-        lhs,
-        rhs,
-    )
+
+    def lifted_sum(red) -> int:
+        # sum floor(a/p)/a; floor(a/p) = floor((a mod p^2)/p) mod p
+        return int((red // p * inv[red % p] % p).sum())
+
+    rhs = (data.ratio_2hu_t + a_star * lifted_sum(a_red) + b_star * lifted_sum(b_red)) % p
+    return _report(Statement.THM21, p, {"a_set": a_set, "b_set": b_set}, lhs, rhs)
 
 
 def verify_thm51(p, m: int) -> tuple[CongruenceReport, CongruenceReport]:
@@ -199,17 +193,11 @@ def verify_thm51(p, m: int) -> tuple[CongruenceReport, CongruenceReport]:
     lhs = modmath.fermat_quotient_mod(m, p)
 
     data = unit_class_data(p)
-    flags = modmath.square_flags(p)
-    inv = modmath.inverse_table(p)
     four_hut = 2 * data.ratio_2hu_t % p
-
-    # sums[1] runs over the residues R, sums[0] over the non-residues N
-    sums = [0, 0]
-    for x in range(1, p):
-        sums[flags[x]] += m * x // p * inv[x]
-
-    rhs_r = (four_hut + 2 * sums[1] * inv[m]) % p
-    rhs_n = (-four_hut + 2 * sums[0] * inv[m]) % p
+    over_r, over_n = modmath.floor_inverse_sums(m, p)
+    inv_m = modmath.mod_inverse(m, p)
+    rhs_r = (four_hut + 2 * over_r * inv_m) % p
+    rhs_n = (-four_hut + 2 * over_n * inv_m) % p
     params = {"m": m}
     return (
         _report(Statement.THM51_R, p, params, lhs, rhs_r),
@@ -227,8 +215,7 @@ def verify_cor53(p, m: int) -> CongruenceReport:
     modmath.require_nonresidue(m, p)
     lhs = m * modmath.fermat_quotient_mod(m, p) % p
 
-    inv = modmath.inverse_table(p)
-    rhs = sum(m * k // p * inv[k] for k in range(1, p)) % p
+    rhs = sum(modmath.floor_inverse_sums(m, p)) % p
     notes = []
     if 2 * rhs % p != lhs:
         notes.append(PRINTED_FORM_NOTE)
@@ -248,8 +235,7 @@ def verify_thm54(p, M: int) -> CongruenceReport:
     modmath.require_nonresidue(m, p)
     lhs = -M * modmath.fermat_quotient_mod(M, p) % p
 
-    h = modmath.harmonic_table(p)
-    rhs = (M // p + sum(h[p * j // m] for j in range(1, m))) % p
+    rhs = (M // p + modmath.floor_harmonic_sum(m, p)) % p
     return _report(Statement.THM54, p, {"M": M, "m": m}, lhs, rhs)
 
 
@@ -282,7 +268,7 @@ def verify_gen_eisenstein(p, m: int) -> CongruenceReport:
 
     h = modmath.harmonic_table(p)
     step = (p - 1) // m
-    rhs = 2 * sum(h[step * j] for j in range(1, (m - 1) // 2 + 1)) % p
+    rhs = 2 * int(h[step : step * ((m - 1) // 2) + 1 : step].sum()) % p
     return _report(Statement.GEN_EISENSTEIN, p, {"m": m}, lhs, rhs)
 
 
@@ -331,12 +317,11 @@ def verify_thm56(p, r: int, abar: int, bbar: int) -> CongruenceReport:
         )
     lhs = -r * modmath.fermat_quotient_mod(r, p) % p
 
-    h = modmath.harmonic_table(p)
     rhs = (
         bbar * (abar // p)
         + abar * (bbar // p)
-        + bbar * sum(h[p * j // a] for j in range(1, a))
-        + abar * sum(h[p * k // b] for k in range(1, b))
+        + bbar * modmath.floor_harmonic_sum(a, p)
+        + abar * modmath.floor_harmonic_sum(b, p)
     ) % p
     return _report(
         Statement.THM56, p, {"r": r, "abar": abar, "bbar": bbar}, lhs, rhs
@@ -350,11 +335,6 @@ def verify_aac1952(p, n: int) -> CongruenceReport:
     data = unit_class_data(p)
     lhs = 2 * data.ratio_2hu_t % p
 
-    inv = modmath.inverse_table(p)
-    flags = modmath.square_flags(p)
-    total = 0
-    for k in range(1, p):
-        term = n * k // p * inv[k]
-        total += term if flags[k] else -term
-    rhs = -modmath.mod_inverse(n, p) * total % p
+    over_r, over_n = modmath.floor_inverse_sums(n, p)
+    rhs = -modmath.mod_inverse(n, p) * (over_r - over_n) % p
     return _report(Statement.AAC1952, p, {"n": n}, lhs, rhs)

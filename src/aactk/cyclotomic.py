@@ -300,7 +300,7 @@ def lemma7_rhs(n: int, p) -> FpPoly:
     """
     p = modmath.as_prime(p)
     modmath.require_nonresidue(n, p)
-    inv = modmath.inverse_table(p)
+    inv = modmath.inverse_table(p).tolist()
     coeffs = [0] * (n * p)
     for k in range(1, p):
         ik = inv[k]

@@ -15,10 +15,20 @@ Conventions:
     products would carry roughly p*log(p) bits.
 
 Every function that takes a prime takes it as an int and validates it
-through as_prime.  Its primality check and the tables square_flags (one
-byte per residue), inverse_table and harmonic_table are cached for the
-last _TABLE_CACHE_SIZE primes; sqrt_mod's least non-residue for the last
+through as_prime.  Its primality check and the tables inverse_table,
+harmonic_table (int64) and square_flags (bool) are cached for the last
+_TABLE_CACHE_SIZE primes; sqrt_mod's least non-residue for the last
 _NONRESIDUE_CACHE_SIZE.
+
+The tables are read-only numpy arrays, built from the powers of the least
+primitive root g of p (_powers): the inverses are the powers read
+backwards, the residues the even powers, and H the running sum of the
+inverses.  The O(p) sums of the verifiers (floor_inverse_sums,
+floor_harmonic_sum) reduce each term mod p before summing.  Entries,
+products of two and sums of p of them stay below p^2, so the tables
+refuse p >= 2^31 with OutOfRange before allocating.  numpy is imported
+inside the functions that build arrays, so code that never reads a table
+(the gaac, aac and density scans) never loads it.
 """
 
 from __future__ import annotations
@@ -28,6 +38,7 @@ import math
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from .errors import (
     DivisibleBase,
@@ -40,12 +51,18 @@ from .errors import (
     WrongResidueClass,
 )
 
+if TYPE_CHECKING:
+    import numpy as np
+
 # The least strong pseudoprime to all these bases is the bound, 3.2 * 10^23.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461
 _MR_EXTRA_ROUNDS = 24
 
 _TABLE_CACHE_SIZE = 32
+# Table entries, sums of p of them and products of two stay below p^2,
+# inside int64 while p < 2^31.
+_TABLE_PRIME_BOUND = 2**31
 
 
 def is_prime(n: int) -> bool:
@@ -279,29 +296,78 @@ def fermat_quotient_mod(a: int, p) -> int:
     return (pow(a, p - 1, p * p) - 1) // p % p
 
 
+def _table_prime(p) -> int:
+    """as_prime, and OutOfRange from 2^31 up, before any table is allocated."""
+    p = as_prime(p)
+    if p >= _TABLE_PRIME_BOUND:
+        raise OutOfRange(f"p = {p} is not below 2^31, the bound of the int64 tables")
+    return p
+
+
+def _primitive_root(p: int) -> int:
+    """The least primitive root of the odd prime p: no g^((p-1)/q) is 1."""
+    n, factors, d = p - 1, [], 2
+    while d * d <= n:
+        if n % d == 0:
+            factors.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        factors.append(n)
+    return next(
+        g for g in itertools.count(2) if all(pow(g, (p - 1) // q, p) != 1 for q in factors)
+    )
+
+
+def _powers(p: int) -> np.ndarray:
+    """pw[k] = g^k mod p for k in [0, p-2], g the least primitive root.
+
+    Doubling: once pw[:k] holds g^0 .. g^(k-1), pw[k:2k] = pw[:k] * g^k
+    mod p, so log2(p) array steps fill it.
+    """
+    import numpy as np
+
+    g = _primitive_root(p)
+    pw = np.empty(p - 1, dtype=np.int64)
+    pw[0] = 1
+    k = 1
+    while k < p - 1:
+        n = min(k, p - 1 - k)
+        pw[k : k + n] = pw[:n] * pow(g, k, p) % p
+        k += n
+    return pw
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    table.flags.writeable = False
+    return table
+
+
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def inverse_table(p: int) -> tuple[int, ...]:
+def inverse_table(p: int) -> np.ndarray:
     """inv[k] = k^-1 mod p for k in [1, p-1], with inv[0] = 0.
 
-    One pass upwards: p = (p // k) * k + p mod k gives
-    k^-1 = -(p // k) * (p mod k)^-1 mod p, and p mod k < k.
+    The powers of g read backwards: g^-k = g^(p-1-k), so
+    inv[pw[k]] = pw[-k mod (p-1)].
     """
-    p = as_prime(p)
-    inv = [0, 1] + [0] * (p - 2)
-    for k in range(2, p):
-        inv[k] = (p - p // k) * inv[p % k] % p
-    return tuple(inv)
+    import numpy as np
+
+    p = _table_prime(p)
+    pw = _powers(p)
+    inv = np.zeros(p, dtype=np.int64)
+    inv[pw] = np.concatenate((pw[:1], pw[:0:-1]))
+    return _read_only(inv)
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def harmonic_table(p: int) -> tuple[int, ...]:
-    """H[k] = sum_{j<=k} 1/j mod p for k in [0, p-1], with H[0] = 0."""
-    p = as_prime(p)
-    inv = inverse_table(p)
-    out = [0] * p
-    for k in range(1, p):
-        out[k] = (out[k - 1] + inv[k]) % p
-    return tuple(out)
+def harmonic_table(p: int) -> np.ndarray:
+    """H[k] = sum_{j<=k} 1/j mod p for k in [0, p-1], with H[0] = 0.
+
+    The running sum of inverse_table, reduced once: it stays below p^2.
+    """
+    p = _table_prime(p)
+    return _read_only(inverse_table(p).cumsum() % p)
 
 
 def harmonic_mod(k: int, p) -> int:
@@ -309,7 +375,7 @@ def harmonic_mod(k: int, p) -> int:
     p = as_prime(p)
     if not 0 <= k <= p - 1:
         raise OutOfRange(f"harmonic index {k} outside [0, {p - 1}]")
-    return harmonic_table(p)[k]
+    return int(harmonic_table(p)[k])
 
 
 @dataclass(frozen=True)
@@ -330,22 +396,25 @@ class ResidueSets:
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def square_flags(p: int) -> bytes:
-    """flags[a] = 1 when a in [1, p-1] is a quadratic residue mod p, else 0."""
-    p = as_prime(p)
-    flags = bytearray(p)
-    for a in range(1, (p + 1) // 2):
-        flags[a * a % p] = 1
-    return bytes(flags)
+def square_flags(p: int) -> np.ndarray:
+    """flags[a] is True when a in [1, p-1] is a quadratic residue mod p.
+
+    The residues are the even powers of g.
+    """
+    import numpy as np
+
+    p = _table_prime(p)
+    flags = np.zeros(p, dtype=bool)
+    flags[_powers(p)[::2]] = True
+    return _read_only(flags)
 
 
 def residue_sets(p) -> ResidueSets:
     """Quadratic residue and non-residue sets with their products A, B mod p^2."""
     p = require_1mod4(p)
     flags = square_flags(p)
-    qr = tuple(itertools.compress(range(p), flags))
-    flip = bytes.maketrans(b"\0\1", b"\1\0")
-    nqr = tuple(itertools.compress(range(1, p), flags[1:].translate(flip)))
+    qr = tuple(flags.nonzero()[0].tolist())
+    nqr = tuple((~flags).nonzero()[0][1:].tolist())
     p2 = p * p
     return ResidueSets(p=p, qr=qr, nqr=nqr, A=prod_mod(qr, p2), B=prod_mod(nqr, p2))
 
@@ -354,11 +423,40 @@ def legendre_harmonic_sum(p) -> int:
     """sum_{k=1}^{p-1} k^-1 (k/p) mod p; vanishes for p = 1 mod 4."""
     p = require_1mod4(p)
     inv = inverse_table(p)
-    flags = square_flags(p)
-    total = 0
-    for k in range(1, p):
-        total += inv[k] if flags[k] else -inv[k]
-    return total % p
+    return (2 * int(inv @ square_flags(p)) - int(inv.sum())) % p
+
+
+def floor_inverse_sums(m: int, p) -> tuple[int, int]:
+    """sum floor(mk/p)/k mod p over the residues k in [1, p-1], then over
+    the non-residues, for 1 <= m <= p-1."""
+    import numpy as np
+
+    p = _table_prime(p)
+    if not 1 <= m <= p - 1:
+        raise OutOfRange(f"m = {m} outside [1, {p - 1}]")
+    inv = inverse_table(p)
+    terms = np.arange(p) * m // p * inv % p
+    over_r = int(terms @ square_flags(p))
+    return over_r % p, (int(terms.sum()) - over_r) % p
+
+
+def floor_harmonic_sum(m: int, p) -> int:
+    """sum_{j=1}^{m-1} H_floor(pj/m) mod p, for 1 <= m <= p-1."""
+    import numpy as np
+
+    p = _table_prime(p)
+    if not 1 <= m <= p - 1:
+        raise OutOfRange(f"m = {m} outside [1, {p - 1}]")
+    h = harmonic_table(p)
+    return int(h[np.arange(p, p * m, p) // m].sum()) % p
+
+
+def residues_mod(values, modulus: int) -> np.ndarray:
+    """The integers in values, of any size, reduced to [0, modulus-1] as an
+    int64 array; modulus is at most 2^63."""
+    import numpy as np
+
+    return (np.array(values, dtype=object) % modulus).astype(np.int64)
 
 
 def floor_jump_set(m: int, p) -> frozenset[int]:

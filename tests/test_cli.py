@@ -458,6 +458,23 @@ class TestModuleEntryPoint:
         assert rec["holds"] and rec["stmt"] == "AAC_EQ2"
 
 
+def test_scans_do_not_import_numpy(tmp_path):
+    # numpy is imported lazily by the residue tables; no scan kind but
+    # eisenstein reads them, so a scan must not pay its import
+    script = (
+        "import sys, aactk, aactk.cli\n"
+        "for argv in (['scan', 'gaac', '--max', '200'], ['scan', 'aac', '--max', '2000'],\n"
+        "             ['scan', 'density', '--x', '20000']):\n"
+        "    aactk.cli.main(argv + ['--jobs', '1'])\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+
+
 class TestExitCodes:
     def test_internal_failure_exit_4(self, capsys, monkeypatch):
         def broken(p):

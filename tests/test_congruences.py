@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -84,6 +85,33 @@ class TestVerifyThm21:
         assert rep.holds
         assert rep.lhs == (math.prod(a_set) + math.prod(b_set)) // p % p
 
+    def test_representatives_in_any_order(self):
+        rng = random.Random(7)
+        for p in (13, 29, 10009):
+            rs = modmath.residue_sets(p)
+            a_set = [r + p * rng.randrange(0, 12) for r in rs.qr]
+            b_set = [n + p * rng.randrange(0, 12) for n in rs.nqr]
+            want = cg.verify_thm21(p, a_set, b_set)
+            rng.shuffle(a_set)
+            rng.shuffle(b_set)
+            got = cg.verify_thm21(p, a_set, b_set)
+            assert (got.lhs, got.rhs, got.holds) == (want.lhs, want.rhs, True), p
+
+    def test_lifts_of_any_size(self):
+        # lifts from 2^64 up give the sides of the same set reduced mod p^2
+        rng = random.Random(64)
+        for p in (13, 10009):
+            rs = modmath.residue_sets(p)
+            p2 = p * p
+            a_set = [r + p2 * 2**64 * rng.randrange(1, 2**20) for r in rs.qr]
+            b_set = [n + p2 * 2**64 * rng.randrange(1, 2**20) for n in rs.nqr]
+            big = cg.verify_thm21(p, a_set, b_set)
+            small = cg.verify_thm21(p, [a % p2 for a in a_set], [b % p2 for b in b_set])
+            assert min(a_set + b_set) >= 2**64
+            assert (big.lhs, big.rhs, big.holds) == (small.lhs, small.rhs, True), p
+            assert big.params == {"a_set": a_set, "b_set": b_set}
+        assert big.lhs == (math.prod(a_set) + math.prod(b_set)) // p % p
+
     def test_bad_representatives(self):
         with pytest.raises(BadRepresentatives):
             cg.verify_thm21(5, [1, 1], [2, 3])
@@ -162,6 +190,43 @@ def test_thm21_and_thm51_need_no_products(monkeypatch):
     monkeypatch.setattr(modmath, "residue_sets", no_products)
     assert repr(cg.verify_thm21(13, [1, 3, 4, 9, 10, 12], [2, 5, 6, 7, 8, 11])) == want21
     assert repr(cg.verify_thm51(13, 2)) == want51
+
+
+def _plain(value) -> bool:
+    if type(value) is dict:
+        return all(type(k) is str and _plain(v) for k, v in value.items())
+    if type(value) is list:
+        return all(_plain(v) for v in value)
+    return type(value) is int
+
+
+@pytest.mark.parametrize("p", [13, 10037])
+def test_reports_hold_plain_python_values(p):
+    # p = 5 mod 8, so every statement but gen-eisenstein applies; that one
+    # runs at 7 and at 10039 (3 mod 4, 1 mod 3, 3 a non-residue)
+    rs = modmath.residue_sets(p)
+    n = rs.nqr[1]
+    r = rs.qr[2]
+    q = {13: 7, 10037: 10039}[p]
+    reports = [
+        cg.verify_aac(p),
+        cg.verify_thm21(p, [a + p for a in rs.qr], list(rs.nqr)),
+        *cg.verify_thm51(p, n),
+        cg.verify_cor53(p, n),
+        cg.verify_thm54(p, n + 7 * p),
+        cg.verify_eisenstein(p),
+        cg.verify_gen_eisenstein(q, 3),
+        cg.verify_thm56(p, r, *cg.nonresidue_factorization(p, r)),
+        cg.verify_aac1952(p, n),
+    ]
+    assert len({rep.statement_id for rep in reports}) == 10
+    for rep in reports:
+        assert rep.holds is True, rep.statement_id
+        assert type(rep.p) is type(rep.lhs) is type(rep.rhs) is int, rep.statement_id
+        assert _plain(rep.params), rep.statement_id
+        assert all(type(note) is str for note in rep.notes)
+        rec = rep.to_record()
+        assert json.loads(json.dumps(rec)) == rec
 
 
 class TestVerifyCor53:

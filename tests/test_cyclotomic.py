@@ -178,6 +178,11 @@ class TestFPoly:
                     continue
                 assert cyc.f_poly(n, p) == cyc.lemma7_rhs(n, p), (p, n)
 
+    def test_lemma7_rhs_holds_plain_ints(self):
+        # the inverses come from a numpy table; the coefficients must not
+        coeffs = cyc.lemma7_rhs(2, 13).coeffs
+        assert coeffs and all(type(c) is int for c in coeffs)
+
 
 class TestLemma6:
     def test_hand_anchor(self):

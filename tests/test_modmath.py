@@ -1,5 +1,8 @@
+import itertools
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -24,6 +27,28 @@ def brute_legendre(a, p):
     if a == 0:
         return 0
     return 1 if a in {x * x % p for x in range(1, p)} else -1
+
+
+def reference_inverse_table(p):
+    """The one-pass recurrence: p = (p // k) * k + p mod k gives
+    k^-1 = -(p // k) * (p mod k)^-1 mod p, and p mod k < k."""
+    inv = [0, 1] + [0] * (p - 2)
+    for k in range(2, p):
+        inv[k] = (p - p // k) * inv[p % k] % p
+    return inv
+
+
+def reference_harmonic_table(inv, p):
+    """The running sum of the inverses, each partial sum reduced mod p."""
+    return [s % p for s in itertools.accumulate(inv)]
+
+
+def reference_square_flags(p):
+    """Mark a^2 mod p for a in [1, (p-1)/2], one byte per residue."""
+    flags = bytearray(p)
+    for a in range(1, (p + 1) // 2):
+        flags[a * a % p] = 1
+    return bytes(flags)
 
 
 def egcd(a, b):
@@ -192,6 +217,75 @@ class TestInverse:
                 assert inv[k] * k % p == 1, (p, k)
 
 
+class TestTables:
+    def test_match_python_references(self):
+        # every prime below 2 * 10^4, and one each near 10^5 and 10^6
+        for p in modmath.primes_in(3, 19_999) + [100_003, 1_000_003]:
+            inv = reference_inverse_table(p)
+            assert modmath.inverse_table(p).tolist() == inv, p
+            assert modmath.harmonic_table(p).tolist() == reference_harmonic_table(inv, p), p
+            assert modmath.square_flags(p).tobytes() == reference_square_flags(p), p
+
+    def test_cached_tables_are_read_only(self):
+        tables = (modmath.inverse_table(13), modmath.harmonic_table(13), modmath.square_flags(13))
+        assert [t.dtype for t in tables] == [np.int64, np.int64, np.bool_]
+        for table in tables:
+            with pytest.raises(ValueError):
+                table[1] = 0
+        assert modmath.inverse_table(13)[2] == 7 and modmath.square_flags(13)[1]
+
+    def test_refused_from_2_31_before_allocating(self, monkeypatch):
+        def no_powers(p):
+            raise AssertionError(f"powers of {p} were built")
+
+        monkeypatch.setattr(modmath, "_powers", no_powers)
+        big = 2**31 + 11  # the least prime above 2^31
+        builds = (
+            modmath.inverse_table,
+            modmath.harmonic_table,
+            modmath.square_flags,
+            lambda p: modmath.floor_inverse_sums(2, p),
+            lambda p: modmath.floor_harmonic_sum(2, p),
+        )
+        tracemalloc.start()
+        try:
+            for build in builds:
+                with pytest.raises(OutOfRange, match=r"2\^31"):
+                    build(big)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert modmath._table_prime(2**31 - 1) == 2**31 - 1  # the largest prime below the bound
+
+
+class TestFloorSums:
+    def test_against_direct_sums(self):
+        for p in (5, 13, 29, 101, 1009):
+            inv = reference_inverse_table(p)
+            h = reference_harmonic_table(inv, p)
+            flags = reference_square_flags(p)
+            for m in range(1, p):
+                over = [0, 0]
+                for k in range(1, p):
+                    over[flags[k]] += m * k // p * inv[k]
+                assert modmath.floor_inverse_sums(m, p) == (over[1] % p, over[0] % p), (p, m)
+                want = sum(h[p * j // m] for j in range(1, m)) % p
+                assert modmath.floor_harmonic_sum(m, p) == want, (p, m)
+
+    def test_m_out_of_range(self):
+        for m in (0, 13, -1):
+            with pytest.raises(OutOfRange):
+                modmath.floor_inverse_sums(m, 13)
+            with pytest.raises(OutOfRange):
+                modmath.floor_harmonic_sum(m, 13)
+
+    def test_residues_mod_takes_any_size(self):
+        values = [0, 1, 168, 169, 2**64 + 5, 3**90]
+        got = modmath.residues_mod(values, 169)
+        assert got.dtype == np.int64 and got.tolist() == [v % 169 for v in values]
+
+
 class TestFermatQuotient:
     def test_anchors(self):
         assert modmath.fermat_quotient(1, 5) == (0, 0)
@@ -295,7 +389,7 @@ class TestResidueSets:
     def test_square_flags_mark_the_squares(self):
         for p in modmath.primes_in(3, 600):
             squares = {x * x % p for x in range(1, p)}
-            assert modmath.square_flags(p) == bytes(a in squares for a in range(p)), p
+            assert modmath.square_flags(p).tolist() == [a in squares for a in range(p)], p
 
     def test_exact_cap(self):
         # there is no size cap: 10009 = 1 mod 4 lies above 10^4 and still gets A, B mod p^2
