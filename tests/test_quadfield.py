@@ -252,6 +252,13 @@ class TestContinuedFraction:
         with pytest.raises(OutOfRange):
             quadfield.cf_sqrt(1)
 
+    def test_period_ends_with_2a0(self):
+        for D in range(2, 500):
+            if math.isqrt(D) ** 2 == D:
+                continue
+            cf = quadfield.cf_sqrt(D)
+            assert cf.period[-1] == 2 * cf.a0, D
+
     def test_walk_norm_identity_to_1e4(self):
         # the unit read at the end of the first period has norm (-1)^l
         for disc in range(5, 10_001):
