@@ -4,7 +4,9 @@ Every verifier computes its two sides through disjoint code paths: the
 left side uses only Fermat quotients and the cached unit/class-number
 residues (UnitClassData), the right side only the floor/harmonic/residue
 machinery, so agreement is a genuine cross-check rather than an algebraic
-tautology.
+tautology.  The left side's h is the exact count of form cycles
+(quadfield.class_number), independent of the unit it multiplies: a wrong
+unit fails the congruence instead of rescaling h through a regulator.
 
 Statement catalog (the `stmt` names accepted by the CLI in parentheses):
 
@@ -273,23 +275,17 @@ def verify_gen_eisenstein(p, m: int) -> CongruenceReport:
 
 
 def nonresidue_factorization(p, r: int) -> tuple[int, int]:
-    """Some (abar, bbar) with abar*bbar = r mod p^2 and both reducing to non-residues.
+    """(abar, bbar) with abar*bbar = r mod p^2 and both reducing to non-residues.
 
-    Fixes abar at successive non-residues and solves bbar = r * abar^-1
-    mod p^2; since r is a residue the solved bbar always reduces to a
-    non-residue, so the first candidate works.
+    abar is the least non-residue and bbar = r * abar^-1 mod p^2; since r
+    is a residue, bbar reduces to a non-residue too.
     """
     p = modmath.as_prime(p)
     if modmath.legendre(r, p) != 1:
         raise HypothesisFail(f"r = {r} is not a quadratic residue mod {p}")
     p2 = p * p
-    for abar in range(2, p):
-        if modmath.legendre(abar, p) != -1:
-            continue
-        bbar = r * modmath.mod_inverse(abar, p2) % p2
-        if modmath.legendre(bbar % p, p) == -1:
-            return abar, bbar
-    raise BadFactorization(f"no non-residue factorization found for r = {r}")
+    abar = modmath.least_nonresidue(p)
+    return abar, r * modmath.mod_inverse(abar, p2) % p2
 
 
 def verify_thm56(p, r: int, abar: int, bbar: int) -> CongruenceReport:

@@ -20,7 +20,6 @@ oracle.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -97,14 +96,6 @@ def partial_density_constant(z: int) -> float:
     return out
 
 
-@lru_cache(maxsize=None)
-def _odd_primes_to_power_of_two(bits: int) -> tuple[int, ...]:
-    """The odd primes up to 2^bits.  Keyed by bit length, so consecutive
-    density blocks share one tuple and the cache holds at most one entry
-    per bit length."""
-    return tuple(modmath.primes_in(3, 1 << bits))
-
-
 def count_squarefree_n2m1_in(lo: int, hi: int) -> int:
     """Count n in [lo, hi] with n^2 - 1 squarefree, by residue marking.
 
@@ -122,9 +113,7 @@ def count_squarefree_n2m1_in(lo: int, hi: int) -> int:
     bad = bytearray(size)  # bad[i] marks n = lo + i
     odd = (lo | 1) - lo
     bad[odd::2] = b"\x01" * len(range(odd, size, 2))
-    root = math.isqrt(hi + 1)
-    primes = _odd_primes_to_power_of_two(root.bit_length())
-    for p in primes[: bisect.bisect_right(primes, root)]:
+    for p in modmath.primes_to(math.isqrt(hi + 1))[1:]:
         p2 = p * p
         for r in (1, p2 - 1):
             first = (r - lo) % p2

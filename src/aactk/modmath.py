@@ -17,8 +17,9 @@ Conventions:
 Every function that takes a prime takes it as an int and validates it
 through as_prime.  Its primality check and the tables inverse_table,
 harmonic_table (int64) and square_flags (bool) are cached for the last
-_TABLE_CACHE_SIZE primes; sqrt_mod's least non-residue for the last
-_NONRESIDUE_CACHE_SIZE.
+_TABLE_CACHE_SIZE primes; least_nonresidue for the last
+_NONRESIDUE_CACHE_SIZE.  primes_to reads one cached tuple of primes per
+bit length.
 
 The tables are read-only numpy arrays, built from the powers of the least
 primitive root g of p (_powers): the inverses are the powers read
@@ -33,6 +34,7 @@ inside the functions that build arrays, so code that never reads a table
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -118,27 +120,31 @@ def as_prime(p) -> int:
 def primes_in(lo: int, hi: int) -> list[int]:
     """All primes in [lo, hi], by sieve.
 
-    A window above sqrt(hi) sieves only [lo, hi], crossing off the
-    multiples of the primes up to isqrt(hi), so memory follows the width
-    of the window rather than hi.  Lower windows sieve all of [0, hi].
+    Only the window [lo, hi] is sieved, crossing off the multiples of each
+    prime q <= isqrt(hi) from the larger of q^2 and the first multiple in
+    the window, so memory follows the width of the window rather than hi.
     """
-    if hi < 2 or hi < lo:
-        return []
-    root = math.isqrt(hi)
-    if lo > root:
-        window = bytearray(b"\x01") * (hi - lo + 1)
-        for q in primes_in(2, root):
-            start = -(-lo // q) * q
-            window[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
-        return list(itertools.compress(range(lo, hi + 1), window))
-    sieve = bytearray(b"\x01") * (hi + 1)
-    sieve[0:2] = b"\x00\x00"
-    for q in range(2, root + 1):
-        if sieve[q]:
-            start = q * q
-            sieve[start : hi + 1 : q] = b"\x00" * ((hi - start) // q + 1)
     lo = max(lo, 2)
-    return list(itertools.compress(range(lo, hi + 1), sieve[lo:]))
+    if hi < lo:
+        return []
+    window = bytearray(b"\x01") * (hi - lo + 1)
+    for q in primes_in(2, math.isqrt(hi)):
+        start = max(q * q, -(-lo // q) * q)
+        window[start - lo :: q] = bytes(len(range(start, hi + 1, q)))
+    return list(itertools.compress(range(lo, hi + 1), window))
+
+
+@lru_cache(maxsize=None)
+def _primes_to_power_of_two(bits: int) -> tuple[int, ...]:
+    """The primes up to 2^bits.  Keyed by bit length, so the cache holds at
+    most one tuple per bit length, shared by every bound of that length."""
+    return tuple(primes_in(2, 1 << bits))
+
+
+def primes_to(n: int) -> tuple[int, ...]:
+    """The primes up to n: a prefix of the cached tuple for n's bit length."""
+    primes = _primes_to_power_of_two(n.bit_length())
+    return primes[: bisect.bisect_right(primes, n)]
 
 
 def legendre(a: int, p) -> int:
@@ -159,9 +165,10 @@ _NONRESIDUE_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=_NONRESIDUE_CACHE_SIZE)
-def _least_nonresidue(q: int) -> int:
+def least_nonresidue(q: int) -> int:
     """The least quadratic non-residue z >= 2 of the odd prime q, by Euler's
-    criterion; cached for the last _NONRESIDUE_CACHE_SIZE primes asked."""
+    criterion; q is not checked.  Cached for the last
+    _NONRESIDUE_CACHE_SIZE primes asked."""
     return next(z for z in itertools.count(2) if pow(z, (q - 1) // 2, q) != 1)
 
 
@@ -169,7 +176,7 @@ def sqrt_mod(a: int, q: int) -> int | None:
     """A root r in [0, q-1] of r^2 = a (mod q), or None if a is a non-residue.
 
     q is an odd prime, not checked.  Tonelli-Shanks with q - 1 = t * 2^e,
-    t odd, and z = _least_nonresidue(q).
+    t odd, and z = least_nonresidue(q).
     """
     a %= q
     if pow(a, (q - 1) // 2, q) != 1:  # Euler's criterion; 0 for a = 0
@@ -179,7 +186,7 @@ def sqrt_mod(a: int, q: int) -> int | None:
     t, e = q - 1, 0
     while t % 2 == 0:
         t, e = t // 2, e + 1
-    c, x, r = pow(_least_nonresidue(q), t, q), pow(a, t, q), pow(a, (t + 1) // 2, q)
+    c, x, r = pow(least_nonresidue(q), t, q), pow(a, t, q), pow(a, (t + 1) // 2, q)
     while x != 1:
         i, y = 0, x
         while y != 1:

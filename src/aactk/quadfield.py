@@ -24,19 +24,24 @@ algorithm.
 
 The class numbers:
 
-  * class_number_dirichlet: the analytic formula with L(1,chi) evaluated
-    by the exact finite log-sine sum (fundamental discriminants only);
   * form_class_number: cycles of reduced indefinite primitive binary
     quadratic forms under the rho operator (any positive nonsquare
-    discriminant, proper/SL2 equivalence).
+    discriminant, proper/SL2 equivalence).  Exact, and the route every
+    caller reads through class_number(p), so no verifier touches floating
+    point and h does not depend on the unit it multiplies;
+  * class_number_dirichlet: the analytic formula with L(1,chi) evaluated
+    by the exact finite log-sine sum (fundamental discriminants only).
+    The second route: `aactk class-number` prints it beside the first,
+    and the tests keep it as the oracle.
 
 A binary quadratic form a x^2 + b xy + c y^2 is the int tuple (a, b, c)
 throughout.  reduced_forms finds the reduced forms of one discriminant
 with one sieve: the smaller of |a|, |c| is a divisor d <= isqrt(disc)//2
 of (disc - b^2)/4, and for each such d the classes of b at which d
 divides it come from square roots mod the primes of d (modmath.sqrt_mod),
-walked only across the b whose reduced window holds d.  Nothing is kept
-between calls.
+walked only across the b whose reduced window holds d.  The primes come
+from modmath.primes_to, a cached list; nothing else is kept between
+calls.
 
 Both return the number of proper form classes; for every discriminant
 whose fundamental unit has norm -1 (in particular every prime
@@ -267,20 +272,20 @@ _FALLBACK_DPS = 50
 
 
 def _chi_half(d: int) -> list[int]:
-    """chi(a) = (d/a) for 0 <= a < d/2.
+    """chi(a) = (d/a) for 0 <= a < d/2, d > 1.
 
-    For a prime d = 1 mod 4 reciprocity gives (d/a) = (a/d), read off
-    the squares mod d: -1 is a square, so r and d - r are residues
-    together.  Other d take one kronecker call per a.
+    (d/a) is completely multiplicative in a, so one least-prime-factor
+    sieve over a < d/2 gives the table: kronecker(d, a) at the primes,
+    chi(q) * chi(a/q) at every other a, q its least prime factor.
     """
     half = (d - 1) // 2
-    if d % 4 != 1 or not modmath.is_prime(d):
-        return [modmath.kronecker(d, a) for a in range(half + 1)]
-    chi = [-1] * (half + 1)
-    chi[0] = 0
-    for b in range(1, half + 1):
-        r = b * b % d
-        chi[r if r <= half else d - r] = 1
+    lpf = [0] * (half + 1)  # least prime factor of each composite a, else 0
+    for q in reversed(modmath.primes_to(math.isqrt(half))):
+        lpf[q * q :: q] = [q] * len(range(q * q, half + 1, q))
+    chi = [0, 1][: half + 1]
+    for a in range(2, half + 1):
+        q = lpf[a]
+        chi.append(chi[q] * chi[a // q] if q else modmath.kronecker(d, a))
     return chi
 
 
@@ -376,7 +381,7 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
         return (disc - b * b) // 4
 
     classes = [None, [0]] + [None] * (half - 1)  # classes[d]: the i mod d with d | n_at(i)
-    for q in modmath.primes_in(2, half):
+    for q in modmath.primes_to(half):
         if q == 2:
             cls = [i for i in (0, 1) if n_at(i) % 2 == 0]
         else:
@@ -444,9 +449,10 @@ def form_class_number(disc: int) -> int:
 
 @lru_cache(maxsize=None)
 def class_number(p: int) -> int:
-    """Class number h of Q(sqrt(p)) for prime p = 1 mod 4 (cached)."""
-    p = modmath.require_1mod4(p)
-    return class_number_dirichlet(p)
+    """Class number h of Q(sqrt(p)) for prime p = 1 mod 4 (cached): the
+    exact cycle count form_class_number(p), which reads neither floating
+    point nor the unit that the congruences multiply by h."""
+    return form_class_number(modmath.require_1mod4(p))
 
 
 def class_number_bound_check(p) -> bool:

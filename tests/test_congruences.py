@@ -5,7 +5,7 @@ import random
 import pytest
 
 from aactk import congruences as cg
-from aactk import modmath, scan
+from aactk import cli, cyclotomic, modmath, quadfield, scan
 from aactk.congruences import Statement
 from aactk.errors import (
     BadFactorization,
@@ -192,6 +192,41 @@ def test_thm21_and_thm51_need_no_products(monkeypatch):
     assert repr(cg.verify_thm51(13, 2)) == want51
 
 
+@pytest.mark.parametrize("p", [13, 10009])
+def test_verifiers_skip_the_lsum(p, monkeypatch):
+    # h is the exact cycle count: no verifier reaches the analytic route
+    def no_lsum(*args, **kwargs):
+        raise AssertionError("_lsum called")
+
+    quadfield.class_number.cache_clear()
+    cg.unit_class_data.cache_clear()
+    monkeypatch.setattr(quadfield, "_lsum", no_lsum)
+    rs = modmath.residue_sets(p)
+    n, r = rs.nqr[1], rs.qr[2]
+    # eisenstein needs p = 5 mod 8, and gen-eisenstein an odd non-residue m
+    # with p = 1 mod m, which neither 13 nor 10009 has: those two run at the
+    # nearest primes where they apply
+    calls = {
+        "aac": (p,),
+        "thm21": (p, [a + p for a in rs.qr], list(rs.nqr)),
+        "thm51": (p, n),
+        "cor53": (p, n),
+        "thm54": (p, n + 7 * p),
+        "eisenstein": (p if p % 8 == 5 else 10037,),
+        "gen-eisenstein": ({13: 7, 10009: 10039}[p], 3),
+        "thm56": (p, r),
+        "aac1952": (p, n),
+    }
+    assert calls.keys() == cli.VERIFIERS.keys()
+    for stmt, args in calls.items():
+        v = cli.VERIFIERS[stmt]
+        derived = getattr(cg, v.derive)(*args) if v.derive else ()
+        result = getattr(cg, v.func)(*args, *derived)
+        for rep in result if isinstance(result, tuple) else [result]:
+            assert rep.holds, stmt
+    assert cyclotomic.unit_identity_check(13, 2)
+
+
 def _plain(value) -> bool:
     if type(value) is dict:
         return all(type(k) is str and _plain(v) for k, v in value.items())
@@ -326,7 +361,7 @@ class TestVerifyThm56:
         for p in (5, 13, 17, 29):
             for r in modmath.residue_sets(p).qr:
                 abar, bbar = cg.nonresidue_factorization(p, r)
-                assert modmath.legendre(abar, p) == -1
+                assert abar == min(a for a in range(2, p) if modmath.legendre(a, p) == -1)
                 assert modmath.legendre(bbar % p, p) == -1
                 assert abar * bbar % (p * p) == r % (p * p)
                 assert cg.verify_thm56(p, r, abar, bbar).holds, (p, r)

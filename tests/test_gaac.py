@@ -151,16 +151,15 @@ class TestDensityCount:
                 assert gaac.count_squarefree_n2m1_in(lo, hi) == per_n_count(lo, hi), (lo, hi)
 
     def test_block_primes_cache_one_tuple_per_bit_length(self):
-        gaac._odd_primes_to_power_of_two.cache_clear()
+        cached = gaac.modmath._primes_to_power_of_two
+        cached.cache_clear()
         roots = set()
         for lo in range(2, 300_000, 7_000):
             gaac.count_squarefree_n2m1_in(lo, lo + 999)
             roots.add(math.isqrt(lo + 1000).bit_length())
-        assert gaac._odd_primes_to_power_of_two.cache_info().currsize == len(roots)
+        assert cached.cache_info().currsize == len(roots)
         for bits in roots:
-            assert gaac._odd_primes_to_power_of_two(bits) == tuple(
-                gaac.modmath.primes_in(3, 1 << bits)
-            )
+            assert cached(bits) == tuple(gaac.modmath.primes_in(2, 1 << bits))
 
     def test_inclusion_exclusion_exact_at_full_cutoff(self):
         for x in (10, 50, 200, 1000):

@@ -98,6 +98,12 @@ class TestPrimality:
         assert modmath.primes_in(91, 91) == []
         for lo, hi in ((0, 500), (89, 97), (90, 96), (400, 420), (2, 3), (7, 48), (49, 2401), (50, 2500)):
             assert modmath.primes_in(lo, hi) == [n for n in range(lo, hi + 1) if modmath.is_prime(n)]
+        small = [n for n in range(200) if modmath.is_prime(n)]
+        for lo in range(-2, 60):
+            for hi in range(lo - 1, 200):
+                assert modmath.primes_in(lo, hi) == [n for n in small if lo <= n <= hi], (lo, hi)
+        for n in range(-1, 300):
+            assert list(modmath.primes_to(n)) == modmath.primes_in(2, n), n
 
     def test_primes_in_a_high_window_sieves_only_the_window(self):
         import tracemalloc
@@ -156,11 +162,11 @@ class TestSqrtMod:
         primes = [q for q in modmath.primes_in(3, 2000) if q % 4 == 1]
         for q in primes:
             modmath.sqrt_mod(q - 1, q)
-        misses = modmath._least_nonresidue.cache_info().misses
+        misses = modmath.least_nonresidue.cache_info().misses
         for q in primes:
             modmath.sqrt_mod(q - 1, q)
             modmath.sqrt_mod(4, q)
-        assert modmath._least_nonresidue.cache_info().misses == misses
+        assert modmath.least_nonresidue.cache_info().misses == misses
 
 
 class TestKronecker:

@@ -559,21 +559,21 @@ class TestLSum:
             with mpmath.workdps(30):
                 assert abs(quadfield._lsum(d, mpmath) - reference_lsum(d)) < 1e-9, d
 
-    def test_prime_table_is_the_kronecker_symbol(self):
-        for p in modmath.primes_in(5, 3000):
-            if p % 4 == 1:
-                want = [modmath.kronecker(p, a) for a in range((p + 1) // 2)]
-                assert quadfield._chi_half(p) == want, p
-
-    def test_composite_table_is_the_kronecker_symbol(self):
-        for d in (7, 8, 11, 12, 21, 40, 1996):
+    def test_table_is_the_kronecker_symbol(self):
+        for d in range(3, 3001):
             want = [modmath.kronecker(d, a) for a in range((d + 1) // 2)]
             assert quadfield._chi_half(d) == want, d
 
     def test_class_numbers_of_primes_to_1e4_match_forms(self):
-        for p in modmath.primes_in(5, 10_000):
-            if p % 4 == 1:
-                assert quadfield.class_number(p) == quadfield.form_class_number(p), p
+        # the analytic route is the oracle of the cycle count callers read
+        rng = random.Random(17)
+        near_1e5 = []
+        while len(near_1e5) < 12:
+            p = rng.randrange(10**5, 11 * 10**4)
+            if p % 4 == 1 and p not in near_1e5 and modmath.is_prime(p):
+                near_1e5.append(p)
+        for p in [p for p in modmath.primes_in(5, 10_000) if p % 4 == 1] + near_1e5:
+            assert quadfield.class_number_dirichlet(p) == quadfield.class_number(p), p
 
 
 class TestReducedFormsOracle:
