@@ -559,8 +559,17 @@ class TestLSum:
             with mpmath.workdps(30):
                 assert abs(quadfield._lsum(d, mpmath) - reference_lsum(d)) < 1e-9, d
 
-    def test_table_is_the_kronecker_symbol(self):
+    def test_prime_table_is_the_kronecker_symbol(self):
+        for p in modmath.primes_in(5, 3000):
+            if p % 4 == 1:
+                want = [modmath.kronecker(p, a) for a in range((p + 1) // 2)]
+                assert quadfield._chi_half(p) == want, p
+
+    def test_composite_table_is_the_kronecker_symbol(self):
+        # every other d in [3, 3000]: the sieve tables chi for all d, not just primes
         for d in range(3, 3001):
+            if d % 4 == 1 and modmath.is_prime(d):
+                continue
             want = [modmath.kronecker(d, a) for a in range((d + 1) // 2)]
             assert quadfield._chi_half(d) == want, d
 
