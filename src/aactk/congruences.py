@@ -137,6 +137,17 @@ def verify_aac(p) -> CongruenceReport:
     return _report(Statement.AAC_EQ2, p, {}, lhs, rhs)
 
 
+def _lift_residues(lifts: list, p2: int):
+    """The lifts, checked to be positive integers, as int64 residues mod p^2."""
+    try:
+        ints = modmath.integer_array(lifts)
+    except TypeError:
+        raise BadRepresentatives("all representatives must be integers") from None
+    if ints.min(initial=1) <= 0:
+        raise BadRepresentatives("all representatives must be positive")
+    return (ints % p2).astype("int64", copy=False)
+
+
 def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     """The lifted form: (A*+B*)/p = 2hu/t + A* sum floor(a/p)/a + B* sum floor(b/p)/b.
 
@@ -146,14 +157,11 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     raises DivisibilityBug.
     """
     p = modmath.require_1mod4(p)
-    a_set = list(map(int, a_set))
-    b_set = list(map(int, b_set))
-    if min(a_set, default=1) <= 0 or min(b_set, default=1) <= 0:
-        raise BadRepresentatives("all representatives must be positive")
+    a_set, b_set = list(a_set), list(b_set)
     flags = modmath.square_flags(p)
     p2 = p * p
-    a_red = modmath.residues_mod(a_set, p2)
-    b_red = modmath.residues_mod(b_set, p2)
+    a_red = _lift_residues(a_set, p2)
+    b_red = _lift_residues(b_set, p2)
 
     def tiles(red, classes) -> bool:
         # sorted, the reductions mod p are the classes, each hit once
@@ -166,8 +174,8 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     if not tiles(b_red, (~flags).nonzero()[0][1:]):
         raise BadRepresentatives("b_set does not reduce to the non-residue set")
 
-    a_star = modmath.prod_mod(a_set, p2)
-    b_star = modmath.prod_mod(b_set, p2)
+    a_star = modmath.product_mod_p2(a_red, p)
+    b_star = modmath.product_mod_p2(b_red, p)
     total = a_star + b_star
     if total % p != 0:
         raise DivisibilityBug(f"p = {p} does not divide A* + B*")

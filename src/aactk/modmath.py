@@ -10,9 +10,10 @@ Conventions:
     of an integer x coprime to p lies in [1, p-1];
   * R and N are the canonical sets of quadratic residues / non-residues
     in [1, p-1], each of size (p-1)/2;
-  * A and B are the products over R and N reduced mod p^2 (prod_mod).
-    Every statement reads them only through A + B mod p^2, and the exact
-    products would carry roughly p*log(p) bits.
+  * A and B are the products over R and N reduced mod p^2, taken by
+    product_mod_p2, an array kernel on the base-p digits of int64
+    residues.  Every statement reads them only through A + B mod p^2, and
+    the exact products would carry roughly p*log(p) bits.
 
 Every function that takes a prime takes it as an int and validates it
 through as_prime.  Its primality check and the tables inverse_table,
@@ -21,10 +22,10 @@ _TABLE_CACHE_SIZE primes; least_nonresidue for the last
 _NONRESIDUE_CACHE_SIZE.  primes_to reads one cached tuple of primes per
 bit length.
 
-The tables are read-only numpy arrays, built from the powers of the least
-primitive root g of p (_powers): the inverses are the powers read
-backwards, the residues the even powers, and H the running sum of the
-inverses.  The O(p) sums of the verifiers (floor_inverse_sums,
+The tables are read-only numpy arrays: the inverses are the powers of
+the least primitive root g of p (_powers) read backwards, H is the running
+sum of the inverses, and the residue flags mark the squares of 1 ..
+(p-1)/2.  The O(p) sums of the verifiers (floor_inverse_sums,
 floor_harmonic_sum) reduce each term mod p before summing.  Entries,
 products of two and sums of p of them stay below p^2, so the tables
 refuse p >= 2^31 with OutOfRange before allocating.  numpy is imported
@@ -34,9 +35,11 @@ inside the functions that build arrays, so code that never reads a table
 
 from __future__ import annotations
 
+import array
 import bisect
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -273,14 +276,6 @@ def mod_inverse(a: int, m: int) -> int:
         raise NotInvertible(f"{a} is not invertible mod {m}") from None
 
 
-def prod_mod(values, modulus: int) -> int:
-    """The product of the integers in values, reduced to [0, modulus-1]."""
-    acc = 1 % modulus
-    for v in values:
-        acc = acc * v % modulus
-    return acc
-
-
 def fermat_quotient(a: int, p) -> tuple[int, int]:
     """Exact Fermat quotient (a^(p-1) - 1)/p and its residue mod p.
 
@@ -351,6 +346,59 @@ def _read_only(table: np.ndarray) -> np.ndarray:
     return table
 
 
+# product_mod_p2 hands its last entries to a Python loop: on arrays this
+# short one more halving costs more than the multiplications it saves.
+_PRODUCT_TAIL = 256
+
+
+def product_mod_p2(residues: np.ndarray, p: int) -> int:
+    """The product of int64 residues in [0, p^2 - 1], reduced mod p^2; p < 2^31.
+
+    Each residue is held as its two base-p digits (lo, hi), both below p.
+    For a = a0 + p*a1 and b = b0 + p*b1, ab = a0*b0 + p*(a0*b1 + a1*b0)
+    mod p^2, so with q, d0 = divmod(a0*b0, p) the product's digits are d0
+    and d1 = (q + a0*b1 + a1*b0) mod p.  The array is halved pairwise,
+    entry i times entry i + n//2, an odd last entry going into a Python
+    accumulator, until _PRODUCT_TAIL entries are left for a Python loop.
+
+    Every intermediate is below 2p^2 + p: a0*b0 <= (p-1)^2, q < p and
+    q + a0*b1 + a1*b0 <= p - 1 + 2(p-1)^2.  For p <= 2^31 - 1,
+    2p^2 + p = 2^63 - 2^33 + 2^31 + 1 at most, below 2^63, so int64 never
+    overflows; larger p raise OutOfRange.
+    """
+    import numpy as np
+
+    if p >= _TABLE_PRIME_BOUND:
+        raise OutOfRange(f"p = {p} is not below 2^31, the bound of the int64 product")
+    p2 = p * p
+    hi, lo = np.divmod(residues, p)
+    acc = 1
+    while lo.size > _PRODUCT_TAIL:
+        h = lo.size // 2
+        if lo.size % 2:
+            acc = acc * int(lo[-1] + p * hi[-1]) % p2
+        a0, a1, b0, b1 = lo[:h], hi[:h], lo[h : 2 * h], hi[h : 2 * h]
+        q, lo = np.divmod(a0 * b0, p)
+        hi = (q + a0 * b1 + a1 * b0) % p
+    for r in (lo + p * hi).tolist():
+        acc = acc * r % p2
+    return acc
+
+
+def integer_array(values) -> np.ndarray:
+    """The integers of the sequence values as an int64 array, converted in
+    one pass by array("q"), or as an object array of Python ints when one of
+    them does not fit in int64.  A value that is not an integer (a float,
+    say) raises TypeError instead of being truncated; numpy never infers
+    the dtype."""
+    import numpy as np
+
+    try:
+        return np.frombuffer(array.array("q", values), np.int64)
+    except OverflowError:
+        return np.array(list(map(operator.index, values)), dtype=object)
+
+
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def inverse_table(p: int) -> np.ndarray:
     """inv[k] = k^-1 mod p for k in [1, p-1], with inv[0] = 0.
@@ -392,27 +440,36 @@ class ResidueSets:
     qr and nqr partition [1, p-1]; A = prod(qr) mod p^2 and
     B = prod(nqr) mod p^2, which satisfy A = -1 and B = 1 mod p when
     p = 1 mod 4.  A + B is divisible by p, and (A + B)/p mod p equals the
-    same quotient of the exact products.
+    same quotient of the exact products.  qr and nqr are read from
+    square_flags(p) on each access.
     """
 
     p: int
-    qr: tuple[int, ...]
-    nqr: tuple[int, ...]
     A: int
     B: int
+
+    @property
+    def qr(self) -> tuple[int, ...]:
+        return tuple(square_flags(self.p).nonzero()[0].tolist())
+
+    @property
+    def nqr(self) -> tuple[int, ...]:
+        return tuple((~square_flags(self.p)).nonzero()[0][1:].tolist())
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
 def square_flags(p: int) -> np.ndarray:
     """flags[a] is True when a in [1, p-1] is a quadratic residue mod p.
 
-    The residues are the even powers of g.
+    The residues are the squares of 1 .. (p-1)/2, as a and p - a have the
+    same square; a^2 < 2^60 for p < 2^31.
     """
     import numpy as np
 
     p = _table_prime(p)
     flags = np.zeros(p, dtype=bool)
-    flags[_powers(p)[::2]] = True
+    roots = np.arange(1, (p + 1) // 2)
+    flags[roots * roots % p] = True
     return _read_only(flags)
 
 
@@ -420,10 +477,11 @@ def residue_sets(p) -> ResidueSets:
     """Quadratic residue and non-residue sets with their products A, B mod p^2."""
     p = require_1mod4(p)
     flags = square_flags(p)
-    qr = tuple(flags.nonzero()[0].tolist())
-    nqr = tuple((~flags).nonzero()[0][1:].tolist())
-    p2 = p * p
-    return ResidueSets(p=p, qr=qr, nqr=nqr, A=prod_mod(qr, p2), B=prod_mod(nqr, p2))
+    return ResidueSets(
+        p=p,
+        A=product_mod_p2(flags.nonzero()[0], p),
+        B=product_mod_p2((~flags).nonzero()[0][1:], p),
+    )
 
 
 def legendre_harmonic_sum(p) -> int:
@@ -456,14 +514,6 @@ def floor_harmonic_sum(m: int, p) -> int:
         raise OutOfRange(f"m = {m} outside [1, {p - 1}]")
     h = harmonic_table(p)
     return int(h[np.arange(p, p * m, p) // m].sum()) % p
-
-
-def residues_mod(values, modulus: int) -> np.ndarray:
-    """The integers in values, of any size, reduced to [0, modulus-1] as an
-    int64 array; modulus is at most 2^63."""
-    import numpy as np
-
-    return (np.array(values, dtype=object) % modulus).astype(np.int64)
 
 
 def floor_jump_set(m: int, p) -> frozenset[int]:

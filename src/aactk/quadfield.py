@@ -428,8 +428,8 @@ def form_class_number(disc: int) -> int:
     along every cycle: the cycles are the orbits of rho^2 on the forms
     with a > 0, which are what reduced_forms returns.
     """
+    remaining = set(reduced_forms(disc))  # validates disc before isqrt reads it
     s = math.isqrt(disc)
-    remaining = set(reduced_forms(disc))
     cycles = 0
     while remaining:
         _, b, c = start = remaining.pop()

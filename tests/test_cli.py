@@ -431,6 +431,11 @@ class TestUnitAndClassNumber:
         (rec,) = parse_lines(out)
         assert rec["h_forms"] == 2 and "h_dirichlet" not in rec
 
+    @pytest.mark.parametrize("disc", ["-2", "-1", "0"])
+    def test_class_number_of_a_nonpositive_disc_is_a_usage_error(self, capsys, disc):
+        code, out, err = run(capsys, "class-number", "--disc", disc)
+        assert code == 2 and out == "" and "BadDiscriminant" in err
+
 
 class TestCheckpointHelpers:
     def test_crc_round_trip(self):

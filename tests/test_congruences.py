@@ -112,6 +112,23 @@ class TestVerifyThm21:
             assert big.params == {"a_set": a_set, "b_set": b_set}
         assert big.lhs == (math.prod(a_set) + math.prod(b_set)) // p % p
 
+    def test_lifts_on_both_sides_of_2_63(self):
+        # a_set mixes lifts below 2^63 with lifts above it and 2^63 joins the set of
+        # its class, so a_set takes the exact conversion; at p = 10009 (2^63 a
+        # residue) b_set takes the int64 one in the same call; math.prod is the oracle
+        rng = random.Random(63)
+        for p in (13, 10009):
+            rs = modmath.residue_sets(p)
+            top = 2**63 // p * p + p  # the least multiple of p above 2^63
+            a_set = [r + (top if i % 2 else p * rng.randrange(12)) for i, r in enumerate(rs.qr)]
+            b_set = [n + p * rng.randrange(12) for n in rs.nqr]
+            edge = a_set if modmath.legendre(2**63, p) == 1 else b_set
+            edge[[x % p for x in edge].index(2**63 % p)] = 2**63
+            assert max(a_set) >= 2**63 > min(a_set) and 2**63 in a_set + b_set
+            rep = cg.verify_thm21(p, a_set, b_set)
+            assert rep.holds and rep.params == {"a_set": a_set, "b_set": b_set}, p
+            assert rep.lhs == (math.prod(a_set) + math.prod(b_set)) // p % p, p
+
     def test_bad_representatives(self):
         with pytest.raises(BadRepresentatives):
             cg.verify_thm21(5, [1, 1], [2, 3])
@@ -119,6 +136,15 @@ class TestVerifyThm21:
             cg.verify_thm21(5, [1, 4], [2, 4])
         with pytest.raises(BadRepresentatives):
             cg.verify_thm21(5, [1, -4], [2, 3])
+        # a float lift is refused, not truncated to an integer
+        with pytest.raises(BadRepresentatives):
+            cg.verify_thm21(5, [1.9, 4.5], [2, 3])
+        with pytest.raises(BadRepresentatives):
+            cg.verify_thm21(5, [1, 4], [2, 3.0])
+        with pytest.raises(BadRepresentatives):
+            cg.verify_thm21(5, [1 + 5 * 2**70, 4.0], [2, 3])
+        with pytest.raises(BadRepresentatives):
+            cg.verify_thm21(5, [1, 4], [2, -(2**70)])
 
     def test_representatives_checked_as_by_sorted_reductions(self):
         # the seen/flags check accepts exactly the sets whose sorted reductions are R and N

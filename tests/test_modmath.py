@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 import tracemalloc
 
 import numpy as np
@@ -264,6 +265,18 @@ class TestTables:
         assert peak < 2**20
         assert modmath._table_prime(2**31 - 1) == 2**31 - 1  # the largest prime below the bound
 
+    def test_powers_built_once_per_prime(self, monkeypatch):
+        # square_flags marks the squares itself; only inverse_table reads the powers
+        built = []
+        powers = modmath._powers
+        monkeypatch.setattr(modmath, "_powers", lambda p: built.append(p) or powers(p))
+        for table in (modmath.inverse_table, modmath.harmonic_table, modmath.square_flags):
+            table.cache_clear()
+        p = 10061
+        modmath.square_flags(p), modmath.inverse_table(p), modmath.harmonic_table(p)
+        modmath.residue_sets(p), modmath.floor_inverse_sums(2, p)
+        assert built == [p]
+
 
 class TestFloorSums:
     def test_against_direct_sums(self):
@@ -286,10 +299,21 @@ class TestFloorSums:
             with pytest.raises(OutOfRange):
                 modmath.floor_harmonic_sum(m, 13)
 
-    def test_residues_mod_takes_any_size(self):
-        values = [0, 1, 168, 169, 2**64 + 5, 3**90]
-        got = modmath.residues_mod(values, 169)
-        assert got.dtype == np.int64 and got.tolist() == [v % 169 for v in values]
+    def test_integer_array_takes_any_size(self):
+        small = [0, 1, -5, 168, 169, 2**63 - 1, -(2**63)]
+        got = modmath.integer_array(small)
+        assert got.dtype == np.int64 and got.tolist() == small
+        values = small + [2**63, 2**64 + 5, -(2**63) - 1, 3**90]
+        got = modmath.integer_array(values)
+        assert got.dtype == object and got.tolist() == values
+        assert (got % 169).astype(np.int64).tolist() == [v % 169 for v in values]
+        assert modmath.integer_array([]).dtype == np.int64
+
+    def test_integer_array_refuses_non_integers(self):
+        # a float is refused on both paths, never truncated
+        for values in ([1, 2.0], [np.float64(3)], [2**64, 1.5], ["7"]):
+            with pytest.raises(TypeError):
+                modmath.integer_array(values)
 
 
 class TestFermatQuotient:
@@ -410,10 +434,52 @@ class TestResidueSets:
         for p in (5, 13, 17):
             rs = modmath.residue_sets(p)
             exact_a, exact_b = math.prod(rs.qr), math.prod(rs.nqr)
+            a = modmath.product_mod_p2(np.array(rs.qr, dtype=np.int64), p)
+            b = modmath.product_mod_p2(np.array(rs.nqr, dtype=np.int64), p)
             for m in (p, p * p):
                 assert (rs.A % m, rs.B % m) == (exact_a % m, exact_b % m)
-                assert modmath.prod_mod(rs.qr, m) == exact_a % m
-                assert modmath.prod_mod(rs.nqr, m) == exact_b % m
+                assert (a % m, b % m) == (exact_a % m, exact_b % m)
+
+
+class TestProductModP2:
+    @staticmethod
+    def check(values, p):
+        got = modmath.product_mod_p2(np.array(values, dtype=np.int64), p)
+        assert got == math.prod(values) % (p * p), (p, len(values))
+
+    def test_empty_and_one_element(self):
+        assert modmath.product_mod_p2(np.array([], dtype=np.int64), 13) == 1
+        for v in (0, 1, 12, 168):
+            self.check([v], 13)
+
+    def test_lengths_around_the_tail(self):
+        # odd lengths leave an entry to the accumulator; the tail loop takes over at 256
+        rng = random.Random(256)
+        for p in (5, 13, 10009):
+            for n in (2, 3, 255, 256, 257, 511, 512, 513, 1025, 4097):
+                self.check([rng.randrange(p * p) for _ in range(n)], p)
+
+    def test_zeros(self):
+        rng = random.Random(0)
+        for p in (13, 10009):
+            for n in (1, 300, 1001):
+                values = [rng.randrange(1, p * p) for _ in range(n)]
+                values[rng.randrange(n)] = 0
+                self.check(values, p)
+            # p^2 | a*b with a = b = p: a zero that no single factor shows
+            self.check([p] * 300 + [rng.randrange(1, p * p) for _ in range(300)], p)
+
+    def test_int64_edge(self):
+        # every digit p - 1 at the largest table prime: intermediates reach 2(p-1)^2 + p - 2
+        p = 2**31 - 1
+        for n in (1, 2, 257, 5001):
+            self.check([p * p - 1] * n, p)
+        rng = random.Random(31)
+        self.check([rng.randrange(p * p) for _ in range(3000)], p)
+
+    def test_refused_from_2_31(self):
+        with pytest.raises(OutOfRange, match=r"2\^31"):
+            modmath.product_mod_p2(np.array([1, 2], dtype=np.int64), 2**31 + 11)
 
 
 class TestLegendreHarmonicSum:
