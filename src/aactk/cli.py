@@ -55,8 +55,11 @@ EXIT_CORRUPT = 3
 EXIT_BUG = 4
 
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _canonical(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(record)
 
 
 def _with_crc(record: dict) -> dict:
@@ -140,7 +143,7 @@ def _cell(value) -> str:
     if value is None:
         return ""
     if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
+        return _ENCODER.encode(value)
     return str(value)
 
 

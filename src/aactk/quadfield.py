@@ -41,7 +41,10 @@ of (disc - b^2)/4, and for each such d the classes of b at which d
 divides it come from square roots mod the primes of d (modmath.sqrt_mod),
 walked only across the b whose reduced window holds d.  The primes come
 from modmath.primes_to, a cached list; nothing else is kept between
-calls.
+calls.  The window is exact, so no form is tested for reducedness on the
+way out; form_class_number's rho^2 walk is the guard, and raises
+ComputationBug when it reaches a form the list lacks or one it has
+already taken.
 
 Both return the number of proper form classes; for every discriminant
 whose fundamental unit has norm -1 (in particular every prime
@@ -336,19 +339,6 @@ def class_number_dirichlet(d: int) -> int:
     return h
 
 
-def _is_reduced(a: int, b: int, disc: int) -> bool:
-    # 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b,
-    # decided exactly (disc is nonsquare, so no ties).
-    if b <= 0 or b * b >= disc:
-        return False
-    two_a = 2 * abs(a)
-    if (two_a + b) ** 2 <= disc:
-        return False
-    if two_a > b and (two_a - b) ** 2 >= disc:
-        return False
-    return True
-
-
 def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     """The reduced primitive indefinite forms with a > 0 of positive nonsquare discriminant.
 
@@ -366,8 +356,10 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     certain classes mod d, from b = +-sqrt_mod(disc, q) mod an odd prime q,
     the parity of i for q = 2, lifting for a prime power and the Chinese
     remainder theorem for the other d, each walked only across the
-    b-range of d.  Each form is emitted where that walk meets it (in no
-    promised order), checked with _is_reduced and kept if primitive.
+    b-range of d.  Both forms of a divisor pair, (d, b, -e) and
+    (e, b, -d) with e = n/d, are emitted where that walk meets it (in no
+    promised order), behind one gcd(d, b, e) = 1, the content of either.
+    Nothing here re-tests reducedness: form_class_number's walk does.
     """
     if disc <= 0 or disc % 4 not in (0, 1):
         raise BadDiscriminant(f"{disc} is not a discriminant (need 0 or 1 mod 4)")
@@ -403,19 +395,18 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
                 inv = pow(d, -1, qe)
                 classes[d * qe] = [x + d * ((y - x) * inv % qe) for x in classes[d] for y in cls]
     forms = []
+    append, gcd = forms.append, math.gcd
     for d, cls in enumerate(classes):
         if cls:
             lo = max(0, (s + 2 - 2 * d - first) // 2)
             hi = (math.isqrt(disc - 4 * d * d) - first) // 2
             for x in cls:
                 for b in range(first + 2 * (lo + (x - lo) % d), first + 2 * hi + 1, 2 * d):
-                    n = (disc - b * b) // 4
-                    for a in (d,) if d * d == n else (d, n // d):
-                        if not _is_reduced(a, b, disc):
-                            raise ComputationBug(f"disc = {disc}: ({a}, {b}) is not reduced")
-                        c = n // a
-                        if math.gcd(a, b, c) == 1:
-                            forms.append((a, b, -c))
+                    e = ((disc - b * b) >> 2) // d
+                    if gcd(d, b, e) == 1:
+                        append((d, b, -e))
+                        if e != d:
+                            append((e, b, -d))
     return forms
 
 
@@ -427,6 +418,15 @@ def form_class_number(disc: int) -> int:
     A reduced form has b^2 < disc, so ac < 0 and the sign of a alternates
     along every cycle: the cycles are the orbits of rho^2 on the forms
     with a > 0, which are what reduced_forms returns.
+
+    The walk takes each form it reaches out of that list, and raises
+    ComputationBug when one is not there.  So it refuses a list that
+    lacks a form of a cycle it walks, and a list holding a form that is
+    not reduced: rho^2 carries such a form into a cycle of reduced forms
+    and never back to it, so its walk reaches a form already taken.  It
+    cannot see a whole cycle missing, nor a reduced form with a < 0 in the
+    list, whose rho^2 orbit is the a < 0 half of a cycle and would count
+    as one more; only the oracle tests cover those.
     """
     remaining = set(reduced_forms(disc))  # validates disc before isqrt reads it
     s = math.isqrt(disc)
@@ -443,7 +443,13 @@ def form_class_number(disc: int) -> int:
             f = (a, b, c)
             if f == start:
                 break
-            remaining.discard(f)
+            try:
+                remaining.remove(f)
+            except KeyError:
+                raise ComputationBug(
+                    f"disc = {disc}: rho^2 reaches {f}, which reduced_forms did not list"
+                    " or a walk already took"
+                ) from None
     return cycles
 
 

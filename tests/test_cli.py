@@ -436,6 +436,12 @@ class TestUnitAndClassNumber:
         code, out, err = run(capsys, "class-number", "--disc", disc)
         assert code == 2 and out == "" and "BadDiscriminant" in err
 
+    def test_class_number_of_a_form_list_missing_a_form_exits_4(self, capsys, monkeypatch):
+        reduced_forms = cli.quadfield.reduced_forms
+        monkeypatch.setattr(cli.quadfield, "reduced_forms", lambda disc: reduced_forms(disc)[1:])
+        code, out, err = run(capsys, "class-number", "--disc", "839964")
+        assert code == 4 and out == "" and "ComputationBug" in err
+
 
 class TestCheckpointHelpers:
     def test_crc_round_trip(self):

@@ -1,5 +1,7 @@
+import contextlib
 import math
 import random
+import signal
 
 import mpmath
 import pytest
@@ -169,6 +171,19 @@ def brute_pell(D, v_limit):
     return None
 
 
+def is_reduced(a, b, disc):
+    """Oracle: 0 < b < sqrt(disc) and sqrt(disc) - b < 2|a| < sqrt(disc) + b,
+    decided exactly (disc is nonsquare, so no ties)."""
+    if b <= 0 or b * b >= disc:
+        return False
+    two_a = 2 * abs(a)
+    if (two_a + b) ** 2 <= disc:
+        return False
+    if two_a > b and (two_a - b) ** 2 >= disc:
+        return False
+    return True
+
+
 def reference_reduced_forms(disc):
     """Oracle: every reduced primitive form, by trial division of each n = (disc - b^2)/4.
 
@@ -183,7 +198,7 @@ def reference_reduced_forms(disc):
             if n % i:
                 continue
             for aa in (i,) if i * i == n else (i, n // i):
-                if not quadfield._is_reduced(aa, b, disc):
+                if not is_reduced(aa, b, disc):
                     continue
                 for a in (aa, -aa):
                     c = -(n // a) if a > 0 else n // -a
@@ -194,14 +209,18 @@ def reference_reduced_forms(disc):
 
 
 def assert_forms_match_reference(disc):
-    """reduced_forms(disc) is the oracle's a > 0 half, each form once."""
+    """reduced_forms(disc) is the oracle's a > 0 half, each form once;
+    returns the oracle's forms."""
     forms = quadfield.reduced_forms(disc)
+    reference = reference_reduced_forms(disc)
     assert len(set(forms)) == len(forms), disc
-    assert set(forms) == {f for f in reference_reduced_forms(disc) if f[0] > 0}, disc
+    assert set(forms) == {f for f in reference if f[0] > 0}, disc
+    return reference
 
 
-def reference_class_number(disc):
-    """Oracle: rho-cycles of reference_reduced_forms, one (a, b, c) tuple per step."""
+def reference_class_number(disc, forms=None):
+    """Oracle: rho-cycles of forms (by default reference_reduced_forms(disc)),
+    one (a, b, c) tuple per step."""
     s = math.isqrt(disc)
 
     def rho(f):
@@ -209,7 +228,7 @@ def reference_class_number(disc):
         b2 = s - (s + b) % (2 * abs(c))
         return c, b2, (b2 * b2 - disc) // (4 * c)
 
-    remaining = set(reference_reduced_forms(disc))
+    remaining = set(reference_reduced_forms(disc) if forms is None else forms)
     cycles = 0
     while remaining:
         start = remaining.pop()
@@ -500,7 +519,7 @@ class TestClassNumbers:
             for f in forms:
                 a, b, c = f
                 assert a > 0 and b * b - 4 * a * c == disc
-                assert quadfield._is_reduced(a, b, disc)
+                assert is_reduced(a, b, disc)
                 # rho^2 stays inside the a > 0 reduced forms (rho permutes all of them)
                 g = rho_step(rho_step(f, disc), disc)
                 assert g in seen, (disc, f, g)
@@ -600,6 +619,54 @@ class TestReducedFormsOracle:
             assert quadfield.form_class_number(4 * D) == reference_class_number(4 * D), D
 
 
+@contextlib.contextmanager
+def deadline(seconds):
+    """Fail the block with AssertionError if it runs longer than seconds."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestWalkGuard:
+    """form_class_number's rho^2 walk takes each form it reaches out of the
+    list reduced_forms returned, so a wrong list raises ComputationBug."""
+
+    DISC = 4 * 209991
+
+    def patch(self, monkeypatch, edit):
+        forms = quadfield.reduced_forms(self.DISC)
+        monkeypatch.setattr(quadfield, "reduced_forms", lambda disc: edit(list(forms)))
+        return forms
+
+    def test_dropped_form_raises(self, monkeypatch):
+        # every cycle here has more than one form, so every drop shows
+        forms = quadfield.reduced_forms(self.DISC)
+        for i in range(len(forms)):
+            monkeypatch.setattr(quadfield, "reduced_forms", lambda disc: forms[:i] + forms[i + 1 :])
+            with pytest.raises(ComputationBug, match="did not list"):
+                quadfield.form_class_number(self.DISC)
+
+    def test_non_reduced_form_raises_promptly(self, monkeypatch):
+        extra = (1, 2, -(self.DISC - 4) // 4)
+        assert not is_reduced(*extra[:2], self.DISC) and math.gcd(*extra) == 1
+        self.patch(monkeypatch, lambda forms: forms + [extra])
+        with deadline(5), pytest.raises(ComputationBug):
+            quadfield.form_class_number(self.DISC)
+
+    def test_duplicates_keep_h(self, monkeypatch):
+        forms = self.patch(monkeypatch, lambda forms: forms + forms[::3])
+        assert len(forms) == 372
+        assert quadfield.form_class_number(self.DISC) == 4
+
+
 class TestFormSieve:
     def test_class_numbers_match_rho_cycles_to_4000(self):
         # the rho^2 walk over the a > 0 forms against a walk over all of them
@@ -621,4 +688,5 @@ class TestFormSieve:
             if disc % 4 in (0, 1) and math.isqrt(disc) ** 2 != disc:
                 discs.append(disc)
         for disc in discs:
-            assert_forms_match_reference(disc)
+            reference = assert_forms_match_reference(disc)
+            assert quadfield.form_class_number(disc) == reference_class_number(disc, reference), disc
