@@ -3,11 +3,19 @@
 A cyclotomic integer is stored on the power basis {1, zeta, ...,
 zeta^(p-2)} as a length-(p-1) coefficient vector; every occurrence of
 zeta^(p-1) is eliminated through 1 + zeta + ... + zeta^(p-1) = 0, so
-equality is coefficientwise.  Products are exact schoolbook
-convolutions over Z: desk-scale p keeps dense vectors fast.  Where only
-the residues mod p are read (Lemma 6), cyc_pow_mod_p instead works in
-F_p[x]/(x^p - 1), packing the p residues into one integer so that each
-multiply is a single big-integer product.
+equality is coefficientwise.  Exact arithmetic has one implementation
+of each step: _poly_mul is the schoolbook convolution over Z (desk-scale
+p keeps dense vectors fast), _reduce the fold of (exponent, coefficient)
+pairs onto the power basis that from_powers, cyc_mul and apply_G return
+through, and _power the square-and-multiply loop behind cyc_pow and
+f_poly's (1 + ... + x^(n-1))^p.
+
+Where only the residues mod p are read (Lemma 6), cyc_pow_mod_p instead
+works in F_p[x]/(x^p - 1), packing the p residues into one integer so
+that each multiply is a single big-integer product.  It keeps its own
+loop and its fused (d[i] - top) % p tail: cyc_pow is its test oracle, so
+the two must not share a loop, and a Lemma 6 sweep over p <= 50 ran
+about 10% slower with its tail folded through _reduce.
 
 The group ring element G = sum_j (j/p) sigma_j acts linearly through the
 Galois automorphisms sigma_a : zeta -> zeta^a.  The Gauss sum
@@ -59,11 +67,7 @@ class CycInt:
     @classmethod
     def from_powers(cls, p: int, powers: dict[int, int]) -> "CycInt":
         """Build sum coeff * zeta^power with arbitrary exponents (folded mod p)."""
-        d = [0] * p
-        for e, c in powers.items():
-            d[e % p] += c
-        top = d[p - 1]
-        return cls(p=p, coeffs=tuple(d[i] - top for i in range(p - 1)))
+        return _reduce(powers.items(), p)
 
     def __add__(self, other: "CycInt") -> "CycInt":
         _same_p(self, other)
@@ -81,40 +85,54 @@ class CycInt:
     __rmul__ = __mul__
 
 
-def _same_p(x: CycInt, y: CycInt) -> None:
+def _same_p(x, y) -> None:
     if x.p != y.p:
         raise ModulusMismatch(f"mixed moduli {x.p} and {y.p}")
+
+
+def _poly_mul(a, b) -> list[int]:
+    """Schoolbook product of two coefficient sequences, skipping zeros."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] += ai * bj
+    return out
+
+
+def _reduce(terms, p: int) -> CycInt:
+    """sum c * zeta^e over (e, c) pairs on the power basis: fold e mod p
+    (zeta^p = 1), then remove zeta^(p-1) = -(1 + ... + zeta^(p-2))."""
+    d = [0] * p
+    for e, c in terms:
+        d[e % p] += c
+    top = d[p - 1]
+    return CycInt(p=p, coeffs=tuple(d[i] - top for i in range(p - 1)))
+
+
+def _power(x, e: int, mul, one):
+    """x^e by square-and-multiply over the bits of e, high to low."""
+    if e < 0:
+        raise OutOfRange("negative exponent")
+    if e == 0:
+        return one
+    result = x
+    for bit in bin(e)[3:]:
+        result = mul(result, result)
+        if bit == "1":
+            result = mul(result, x)
+    return result
 
 
 def cyc_mul(x: CycInt, y: CycInt) -> CycInt:
     """Exact product, schoolbook convolution folded by zeta^p = 1."""
     _same_p(x, y)
-    p = x.p
-    n = p - 1
-    d = [0] * p
-    xc, yc = x.coeffs, y.coeffs
-    for i, xi in enumerate(xc):
-        if not xi:
-            continue
-        for j, yj in enumerate(yc):
-            if yj:
-                e = i + j
-                d[e if e < p else e - p] += xi * yj
-    top = d[p - 1]
-    return CycInt(p=p, coeffs=tuple(d[i] - top for i in range(n)))
+    return _reduce(enumerate(_poly_mul(x.coeffs, y.coeffs)), x.p)
 
 
 def cyc_pow(x: CycInt, e: int) -> CycInt:
-    if e < 0:
-        raise OutOfRange("negative exponent")
-    result = CycInt.one(x.p)
-    base = x
-    while e:
-        if e & 1:
-            result = cyc_mul(result, base)
-        base = cyc_mul(base, base)
-        e >>= 1
-    return result
+    return _power(x, e, cyc_mul, CycInt.one(x.p))
 
 
 def cyc_pow_mod_p(x: CycInt, e: int) -> tuple[int, ...]:
@@ -207,11 +225,7 @@ def gauss_element(p) -> GroupRingElt:
 def twisted_gauss_element(n: int, p) -> GroupRingElt:
     """sum_j (j/p) sigma_(nj), the reindexing that equals -G for non-residues n."""
     p = modmath.as_prime(p)
-    elt: dict[int, int] = {}
-    for j in range(1, p):
-        a = n * j % p
-        elt[a] = elt.get(a, 0) + modmath.legendre(j, p)
-    return GroupRingElt.from_map(p, elt)
+    return GroupRingElt.from_map(p, {n * j: modmath.legendre(j, p) for j in range(1, p)})
 
 
 def gauss_sum(p) -> CycInt:
@@ -222,19 +236,13 @@ def gauss_sum(p) -> CycInt:
 
 def apply_G(x: CycInt, g: GroupRingElt) -> CycInt:
     """Linear group-ring action: sigma_a sends zeta^j to zeta^(aj)."""
-    if x.p != g.p:
-        raise ModulusMismatch(f"mixed moduli {x.p} and {g.p}")
-    p = x.p
-    d = [0] * p
-    for a_minus_1, w in enumerate(g.weights):
-        if not w:
-            continue
-        a = a_minus_1 + 1
-        for i, ci in enumerate(x.coeffs):
-            if ci:
-                d[a * i % p] += w * ci
-    top = d[p - 1]
-    return CycInt(p=p, coeffs=tuple(d[i] - top for i in range(p - 1)))
+    _same_p(x, g)
+    terms = (
+        (a * i, w * ci)
+        for a, w in enumerate(g.weights, 1) if w
+        for i, ci in enumerate(x.coeffs) if ci
+    )
+    return _reduce(terms, x.p)
 
 
 @dataclass(frozen=True)
@@ -255,26 +263,6 @@ class FpPoly:
         return len(self.coeffs) - 1
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_pow(base: list[int], e: int) -> list[int]:
-    result = [1]
-    while e:
-        if e & 1:
-            result = _poly_mul(result, base)
-        base = _poly_mul(base, base)
-        e >>= 1
-    return result
-
-
 def f_poly(n: int, p) -> FpPoly:
     """((1 + x + ... + x^(n-1))^p - sum_k x^(kp)) / p, reduced mod p.
 
@@ -283,7 +271,7 @@ def f_poly(n: int, p) -> FpPoly:
     """
     p = modmath.as_prime(p)
     modmath.require_nonresidue(n, p)
-    num = _poly_pow([1] * n, p)
+    num = _power([1] * n, p, _poly_mul, [1])
     for k in range(n):
         num[k * p] -= 1
     for i, c in enumerate(num):

@@ -15,8 +15,9 @@ Conventions:
     residues.  Every statement reads them only through A + B mod p^2, and
     the exact products would carry roughly p*log(p) bits.
 
-Every function that takes a prime takes it as an int and validates it
-through as_prime.  Its primality check and the tables inverse_table,
+Every function that takes a prime validates it through as_prime, which
+reads it with operator.index: a float or a string is refused, never
+truncated.  Its primality check and the tables inverse_table,
 harmonic_table (int64) and square_flags (bool) are cached for the last
 _TABLE_CACHE_SIZE primes; least_nonresidue for the last
 _NONRESIDUE_CACHE_SIZE.  primes_to reads one cached tuple of primes per
@@ -116,8 +117,16 @@ def _check_odd_prime(p: int) -> int:
 
 
 def as_prime(p) -> int:
-    """Validate p as an odd prime and return it as an int (NotPrime otherwise)."""
-    return _check_odd_prime(int(p))
+    """Validate p as an odd prime and return it as an int (NotPrime otherwise).
+
+    p is read with operator.index, so a float or a string raises NotPrime
+    instead of being truncated; numpy integers pass.
+    """
+    try:
+        p = operator.index(p)
+    except TypeError:
+        raise NotPrime(f"{p!r} is not an integer") from None
+    return _check_odd_prime(p)
 
 
 def primes_in(lo: int, hi: int) -> list[int]:

@@ -146,7 +146,7 @@ def omega_from_products(values, target_sign: int, p) -> OmegaCheck:
     target_sign = +1 it is Omega = -sum F(v) (mod p).  The sign follows
     from log(-1 + pW) = -pW and log(1 + pW) = +pW mod p^2 together with
     log_p(v) = -p F(v).  The product is taken mod p^2, which fixes
-    Omega mod p, by modmath.product_mod_p2, so p must lie below 2^31.
+    Omega mod p.
     """
     p = modmath.as_prime(p)
     if target_sign not in (-1, 1):
@@ -156,7 +156,9 @@ def omega_from_products(values, target_sign: int, p) -> OmegaCheck:
         if v % p == 0:
             raise DivisibleBase(f"value {v} shares a factor with {p}")
     p2 = p * p
-    prod = modmath.product_mod_p2(modmath.integer_array([v % p2 for v in values]), p)
+    prod = 1
+    for v in values:
+        prod = prod * v % p2
     if (prod - target_sign) % p != 0:
         raise WrongSign(
             f"product = {prod % p} mod {p}, expected {target_sign % p}"

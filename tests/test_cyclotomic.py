@@ -1,8 +1,12 @@
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import aactk
 from aactk import cyclotomic as cyc
 from aactk import modmath, quadfield
 from aactk.errors import (
@@ -79,6 +83,17 @@ class TestCycInt:
         z = cyc.CycInt.from_powers(p, {1: 1})
         assert cyc.cyc_pow(z, 5) == cyc.CycInt.one(p)
         assert cyc.cyc_pow(z, 0) == cyc.CycInt.one(p)
+
+    def test_pow_matches_repeated_mul(self):
+        # the exact power loop against e plain products, coefficient for coefficient
+        rng = random.Random(20)
+        for p in (5, 7, 13):
+            for _ in range(4):
+                x = cyc.CycInt(p, tuple(rng.randrange(-9, 10) for _ in range(p - 1)))
+                want = cyc.CycInt.one(p)
+                for e in range(13):
+                    assert cyc.cyc_pow(x, e).coeffs == want.coeffs, (p, x, e)
+                    want = cyc.cyc_mul(want, x)
 
 
 class TestGaussSum:
@@ -349,3 +364,25 @@ class TestUnitIdentities:
     def test_wrong_class(self):
         with pytest.raises(WrongResidueClass):
             cyc.unit_identity_check(7, 3, 1e-8)
+
+
+def test_identity_checks_do_not_import_numpy():
+    # numpy is imported lazily by the residue tables, and none of these
+    # identity checks reads one, so none may pay its import
+    script = (
+        "import sys\n"
+        "from aactk import cyclotomic as cyc, padiclog\n"
+        "assert cyc.lemma6_check(2, 1, 13)\n"
+        "tau = cyc.gauss_sum(13)\n"
+        "assert cyc.cyc_mul(tau, tau) == 13 * cyc.CycInt.one(13)\n"
+        "cyc.apply_G(cyc.CycInt.from_powers(13, {2: 1}), cyc.gauss_element(13))\n"
+        "assert cyc.unit_identity_check(13, 2)\n"
+        "assert padiclog.theorem4_check(14, 13)\n"
+        "padiclog.padic_log_unit(2, 13)\n"
+        "assert padiclog.omega_from_products([2, 5, 6, 7, 8, 11], 1, 13).holds\n"
+        "print('numpy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(aactk.__file__))}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"

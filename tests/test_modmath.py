@@ -9,7 +9,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aactk import modmath
+from aactk import congruences, modmath
 from aactk.errors import (
     DivisibleBase,
     NotInvertible,
@@ -86,6 +86,14 @@ class TestPrimality:
             modmath.as_prime(15)
         with pytest.raises(NotPrime):
             modmath.as_prime(2)
+        # read exactly, never truncated to 13
+        for bad in (13.9, 13.0, "13"):
+            with pytest.raises(NotPrime, match="13"):
+                modmath.as_prime(bad)
+        p = modmath.as_prime(np.int64(13))
+        assert p == 13 and type(p) is int
+        with pytest.raises(NotPrime):
+            congruences.verify_aac(13.9)
 
     def test_primes_in(self):
         assert modmath.primes_in(5, 20) == [5, 7, 11, 13, 17, 19]

@@ -184,10 +184,12 @@ class TestOmega:
         with pytest.raises(DivisibleBase):
             padiclog.omega_from_products([5, 2], 1, 5)
 
-    def test_refused_from_2_31(self):
-        # the product mod p^2 is an int64 kernel, bounded like the tables
-        with pytest.raises(OutOfRange, match=r"2\^31"):
-            padiclog.omega_from_products([2, 3], 1, 2**31 + 11)
+    def test_holds_from_2_31(self):
+        # the product mod p^2 is a plain loop, so no int64 bound applies:
+        # p - 1 = -1 + p, and 2 * (p + 1)/2 = 1 + p
+        p = 2**31 + 11
+        assert padiclog.omega_from_products([p - 1], -1, p) == (1, 1, True)
+        assert padiclog.omega_from_products([2, (p + 1) // 2], 1, p).holds
 
     def test_holds_with_lifted_sets(self):
         # representative-independent: any lifts of R and N work
