@@ -46,7 +46,7 @@ import zlib
 from typing import NamedTuple
 
 from . import congruences, gaac, modmath, quadfield, scan
-from .errors import CheckpointCorrupt, PreconditionViolation
+from .errors import CheckpointCorrupt, ComputationBug, PreconditionViolation
 
 EXIT_OK = 0
 EXIT_FAILED_CONGRUENCE = 1
@@ -282,7 +282,12 @@ def _run_class_number(args) -> int:
     record: dict = {"disc": disc, "h_forms": quadfield.form_class_number(disc)}
     if quadfield.is_fundamental_discriminant(disc):
         record["h_dirichlet"] = quadfield.class_number_dirichlet(disc)
-        record["agree"] = record["h_forms"] == record["h_dirichlet"]
+        if record["h_dirichlet"] != record["h_forms"]:
+            raise ComputationBug(
+                f"disc = {disc}: the form count gives h = {record['h_forms']},"
+                f" the analytic formula h = {record['h_dirichlet']}"
+            )
+        record["agree"] = True
     _render([record], args.format, sys.stdout)
     return EXIT_OK
 

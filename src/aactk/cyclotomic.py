@@ -288,10 +288,9 @@ def lemma7_rhs(n: int, p) -> FpPoly:
     """
     p = modmath.as_prime(p)
     modmath.require_nonresidue(n, p)
-    inv = modmath.inverse_table(p).tolist()
     coeffs = [0] * (n * p)
     for k in range(1, p):
-        ik = inv[k]
+        ik = pow(k, -1, p)
         for e in range(n * k, n * p, p):
             coeffs[e] -= ik
         for j in range(n):

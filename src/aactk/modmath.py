@@ -23,15 +23,26 @@ _TABLE_CACHE_SIZE primes; least_nonresidue for the last
 _NONRESIDUE_CACHE_SIZE.  primes_to reads one cached tuple of primes per
 bit length.
 
-The tables are read-only numpy arrays: the inverses are the powers of
-the least primitive root g of p (_powers) read backwards, H is the running
-sum of the inverses, and the residue flags mark the squares of 1 ..
-(p-1)/2.  The O(p) sums of the verifiers (floor_inverse_sums,
+sqrt_mod takes square roots mod an odd prime q.  Below
+_SQRT_TABLE_LIMIT = 2048 it reads sqrt_table(q), a read-only int32 array
+mapping each residue mod q to a root or to -1 (none), built once per
+prime and kept: the 308 odd primes below the limit hold 289k entries
+(1.2 MB) at most.  The limit covers the form sieve of every disc below
+4 * 2048^2 = 1.68e7 (it asks for q <= isqrt(disc)//2), so a scan reads
+each table once per discriminant in place of an Euler criterion and a
+Tonelli-Shanks root.  Above the limit sqrt_mod runs Tonelli-Shanks, with
+no table, so one sieve at a large disc builds at most the tables below
+the limit (about 0.03 s), not a table for each of its primes.
+
+The three tables of p are read-only numpy arrays: the inverses are the
+powers of the least primitive root g of p (_powers) read backwards, H is
+the running sum of the inverses, and the residue flags mark the squares
+of 1 .. (p-1)/2.  The O(p) sums of the verifiers (floor_inverse_sums,
 floor_harmonic_sum) reduce each term mod p before summing.  Entries,
 products of two and sums of p of them stay below p^2, so the tables
 refuse p >= 2^31 with OutOfRange before allocating.  numpy is imported
-inside the functions that build arrays, so code that never reads a table
-(the gaac, aac and density scans) never loads it.
+inside the functions that build arrays, so code that never reads one of
+them (the gaac, aac and density scans) never loads it.
 """
 
 from __future__ import annotations
@@ -169,11 +180,16 @@ def legendre(a: int, p) -> int:
     return 1 if r == 1 else -1
 
 
-# Larger than the number of primes q = 1 mod 4 below 8 * 10^4 (3903), so
-# every q a reduced_forms call asks for (q <= isqrt(disc)//2) stays cached
-# while disc < 2.5 * 10^10; one disc visits all of its 90-215 primes near
-# 2 * 10^5 to 2 * 10^6, which would thrash a 32-entry table.
+# nonresidue_factorization asks once per call, and sqrt_mod once per prime
+# q = 1 mod 4 at or above _SQRT_TABLE_LIMIT.  Larger than the number of
+# primes q = 1 mod 4 below 8 * 10^4 (3903), so every q a reduced_forms call
+# asks for (q <= isqrt(disc)//2) stays cached while disc < 2.5 * 10^10, and
+# a verify stream over more primes than _TABLE_CACHE_SIZE, which would
+# thrash a cache that size, still searches each prime once.
 _NONRESIDUE_CACHE_SIZE = 4096
+
+# Square roots mod the odd primes below this come from sqrt_table.
+_SQRT_TABLE_LIMIT = 2048
 
 
 @lru_cache(maxsize=_NONRESIDUE_CACHE_SIZE)
@@ -184,13 +200,35 @@ def least_nonresidue(q: int) -> int:
     return next(z for z in itertools.count(2) if pow(z, (q - 1) // 2, q) != 1)
 
 
+@lru_cache(maxsize=None)
+def sqrt_table(q: int) -> memoryview:
+    """roots[a] is a root r in [0, (q-1)/2] of r^2 = a (mod q) for a in
+    [0, q-1], or -1 when a is a non-residue; q is an odd prime below
+    _SQRT_TABLE_LIMIT, not checked.
+
+    Built by squaring 0 .. (q-1)/2, whose squares are the (q+1)/2
+    residues (0 among them), each once.  A read-only view of an int32
+    array("i") of q entries, kept for every prime asked: sqrt_mod asks
+    only below the limit, so the cache holds at most the 289k entries of
+    the 308 odd primes there.
+    """
+    roots = array.array("i", [-1]) * q
+    for r in range((q + 1) // 2):
+        roots[r * r % q] = r
+    return memoryview(roots).toreadonly()
+
+
 def sqrt_mod(a: int, q: int) -> int | None:
     """A root r in [0, q-1] of r^2 = a (mod q), or None if a is a non-residue.
 
-    q is an odd prime, not checked.  Tonelli-Shanks with q - 1 = t * 2^e,
-    t odd, and z = least_nonresidue(q).
+    q is an odd prime, not checked.  Read from sqrt_table(q) below
+    _SQRT_TABLE_LIMIT; above it Tonelli-Shanks with q - 1 = t * 2^e, t odd,
+    and z = least_nonresidue(q).
     """
     a %= q
+    if q < _SQRT_TABLE_LIMIT:
+        r = sqrt_table(q)[a]
+        return r if r >= 0 else None
     if pow(a, (q - 1) // 2, q) != 1:  # Euler's criterion; 0 for a = 0
         return None if a else 0
     if q % 4 == 3:

@@ -38,13 +38,14 @@ A binary quadratic form a x^2 + b xy + c y^2 is the int tuple (a, b, c)
 throughout.  reduced_forms finds the reduced forms of one discriminant
 with one sieve: the smaller of |a|, |c| is a divisor d <= isqrt(disc)//2
 of (disc - b^2)/4, and for each such d the classes of b at which d
-divides it come from square roots mod the primes of d (modmath.sqrt_mod),
-walked only across the b whose reduced window holds d.  The primes come
-from modmath.primes_to, a cached list; nothing else is kept between
-calls.  The window is exact, so no form is tested for reducedness on the
-way out; form_class_number's rho^2 walk is the guard, and raises
-ComputationBug when it reaches a form the list lacks or one it has
-already taken.
+divides it come from square roots mod the primes of d (modmath.sqrt_mod,
+which reads a cached root table for each prime below 2048).  The window
+of b at which d can be reduced holds at most one b of each class, so
+each class gives at most one candidate.  The primes (modmath.primes_to)
+and the root tables are cached between calls, nothing else.  The window
+is exact, so no form is tested for reducedness on the way out;
+form_class_number's rho^2 walk is the guard, and raises ComputationBug
+when it reaches a form the list lacks or one it has already taken.
 
 Both return the number of proper form classes; for every discriminant
 whose fundamental unit has norm -1 (in particular every prime
@@ -353,13 +354,22 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     window, that is s + 1 - 2d <= b <= sqrt(disc - 4d^2); so
     d <= isqrt(n) <= isqrt(disc/4) = s // 2, and no larger prime divides d.
     One sieve over b = first + 2i finds them: d | n exactly when i is in
-    certain classes mod d, from b = +-sqrt_mod(disc, q) mod an odd prime q,
-    the parity of i for q = 2, lifting for a prime power and the Chinese
-    remainder theorem for the other d, each walked only across the
-    b-range of d.  Both forms of a divisor pair, (d, b, -e) and
-    (e, b, -d) with e = n/d, are emitted where that walk meets it (in no
-    promised order), behind one gcd(d, b, e) = 1, the content of either.
-    Nothing here re-tests reducedness: form_class_number's walk does.
+    certain classes mod d: b = +-sqrt_mod(disc, q) mod an odd prime q
+    (a cached table read below 2048, Tonelli-Shanks above), the parity
+    of i for q = 2, lifting for a prime power and the Chinese remainder
+    theorem for the other d.
+
+    One candidate per class.  The window of d is lo <= i <= hi: b_lo =
+    first + 2*lo is the least positive b >= s + 1 - 2d of disc's parity,
+    and b_hi = first + 2*hi the greatest b <= sqrt(disc - 4d^2).  So
+    b_hi <= sqrt(disc - 4d^2) < s + 1 <= b_lo + 2d, and as b_lo and b_hi
+    have the same parity, b_hi - b_lo <= 2d - 2, that is hi - lo + 1 <= d.
+    The window holds at most one i of each class x mod d, namely
+    lo + (x - lo) mod d, a candidate when it is <= hi.  Both forms of a
+    divisor pair, (d, b, -e) and (e, b, -d) with e = n/d, are emitted
+    there (in no promised order), behind one gcd(d, b, e) = 1, the content
+    of either.  Nothing here re-tests reducedness: form_class_number's
+    walk does.
     """
     if disc <= 0 or disc % 4 not in (0, 1):
         raise BadDiscriminant(f"{disc} is not a discriminant (need 0 or 1 mod 4)")
@@ -401,7 +411,9 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
             lo = max(0, (s + 2 - 2 * d - first) // 2)
             hi = (math.isqrt(disc - 4 * d * d) - first) // 2
             for x in cls:
-                for b in range(first + 2 * (lo + (x - lo) % d), first + 2 * hi + 1, 2 * d):
+                i = lo + (x - lo) % d
+                if i <= hi:
+                    b = first + 2 * i
                     e = ((disc - b * b) >> 2) // d
                     if gcd(d, b, e) == 1:
                         append((d, b, -e))

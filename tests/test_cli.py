@@ -424,6 +424,13 @@ class TestUnitAndClassNumber:
         (rec,) = parse_lines(out)
         assert rec["h_forms"] == rec["h_dirichlet"] == 2 and rec["agree"]
 
+    def test_class_number_disagreement_exits_4(self, capsys, monkeypatch):
+        h = cli.quadfield.class_number_dirichlet(40)
+        monkeypatch.setattr(cli.quadfield, "class_number_dirichlet", lambda d: h + 1)
+        code, out, err = run(capsys, "class-number", "--disc", "40")
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "ComputationBug" in err and "h = 2" in err and "h = 3" in err
+
     def test_class_number_nonfundamental(self, capsys):
         # 7268 = 4 * 1817 = 4 mod 16: only the form count is reported
         code, out, _ = run(capsys, "class-number", "--disc", "7268")

@@ -194,7 +194,7 @@ class TestFPoly:
                 assert cyc.f_poly(n, p) == cyc.lemma7_rhs(n, p), (p, n)
 
     def test_lemma7_rhs_holds_plain_ints(self):
-        # the inverses come from a numpy table; the coefficients must not
+        # the coefficients are Python ints, not numpy scalars
         coeffs = cyc.lemma7_rhs(2, 13).coeffs
         assert coeffs and all(type(c) is int for c in coeffs)
 
@@ -380,6 +380,7 @@ def test_identity_checks_do_not_import_numpy():
         "assert padiclog.theorem4_check(14, 13)\n"
         "padiclog.padic_log_unit(2, 13)\n"
         "assert padiclog.omega_from_products([2, 5, 6, 7, 8, 11], 1, 13).holds\n"
+        "assert cyc.lemma7_rhs(2, 13) == cyc.f_poly(2, 13)\n"
         "print('numpy' in sys.modules)\n"
     )
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(aactk.__file__))}

@@ -154,8 +154,9 @@ class TestLegendre:
 
 class TestSqrtMod:
     def test_against_brute_force_below_3000(self):
-        # every residue of every odd prime q < 3000, q = 1 mod 8 (the
-        # Tonelli-Shanks loop with e >= 3) included
+        # every residue of every odd prime q < 3000: read from the table
+        # below 2048, Tonelli-Shanks above, where q = 1 mod 8 (the loop
+        # with e >= 3, as at 2081) is included
         for q in modmath.primes_in(3, 2999):
             squares = {x * x % q for x in range(q)}
             roots = [modmath.sqrt_mod(a, q) for a in range(q)]
@@ -166,9 +167,13 @@ class TestSqrtMod:
         assert modmath.sqrt_mod(4 * 10**6 + 1, 5) in (1, 4)
         assert modmath.sqrt_mod(-1, 13) in (5, 8)
         assert modmath.sqrt_mod(-1, 7) is None
+        assert modmath.sqrt_mod(-1, 2089) in (
+            x for x in range(2089) if x * x % 2089 == 2088
+        )
 
     def test_nonresidue_searched_once_per_prime(self):
-        primes = [q for q in modmath.primes_in(3, 2000) if q % 4 == 1]
+        # least_nonresidue serves Tonelli-Shanks, at and above the limit
+        primes = [q for q in modmath.primes_in(2048, 4000) if q % 4 == 1]
         for q in primes:
             modmath.sqrt_mod(q - 1, q)
         misses = modmath.least_nonresidue.cache_info().misses
@@ -176,6 +181,24 @@ class TestSqrtMod:
             modmath.sqrt_mod(q - 1, q)
             modmath.sqrt_mod(4, q)
         assert modmath.least_nonresidue.cache_info().misses == misses
+
+    def test_tables_built_once_and_only_below_the_limit(self):
+        limit = modmath._SQRT_TABLE_LIMIT
+        below = modmath.primes_in(3, limit - 1)
+        assert len(below) == 308 and modmath.primes_in(limit, 2052) == []
+        for q in below:
+            modmath.sqrt_mod(2, q)
+        misses = modmath.sqrt_table.cache_info().misses
+        for q in below + modmath.primes_in(limit, 4 * limit):
+            modmath.sqrt_mod(3, q)
+        info = modmath.sqrt_table.cache_info()
+        assert info.misses == misses and info.currsize <= len(below)
+
+    def test_table_is_read_only(self):
+        table = modmath.sqrt_table(13)
+        assert len(table) == 13 and table[12] == 5 and table[2] == -1
+        with pytest.raises(TypeError):
+            table[0] = 1
 
 
 class TestKronecker:

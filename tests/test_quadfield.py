@@ -616,7 +616,25 @@ class TestReducedFormsOracle:
         odd = [D for D in range(centre - 40, centre + 41, 2) if math.isqrt(D) ** 2 != D]
         nearest = sorted(odd, key=lambda D: (abs(D - centre), D))[:10]
         for D in nearest:
-            assert quadfield.form_class_number(4 * D) == reference_class_number(4 * D), D
+            reference = assert_forms_match_reference(4 * D)
+            h = reference_class_number(4 * D, reference)
+            assert quadfield.form_class_number(4 * D) == h, D
+
+    def test_discriminants_across_the_root_table_limit(self):
+        # the sieve of disc asks for the primes q <= isqrt(disc)//2; at
+        # 16000001 every root comes from a table, at the other two
+        # disc mod 2053 has a root, which Tonelli-Shanks finds
+        assert max(modmath.primes_to(2000)) < modmath._SQRT_TABLE_LIMIT < 2053
+        for disc in (16000001, 16859249, 17000004):
+            assert_forms_match_reference(disc)
+
+    def test_one_large_discriminant_builds_no_table_above_the_limit(self):
+        # 4 * 1000000003 asks for the 3400-odd primes up to 31622; only the
+        # 308 odd primes below the limit may leave a table behind
+        forms = quadfield.reduced_forms(4 * 1000000003)
+        assert modmath.sqrt_table.cache_info().currsize <= 308
+        assert len(set(forms)) == len(forms) > 0
+        assert quadfield.form_class_number(4 * 1000000003) > 0
 
 
 @contextlib.contextmanager
