@@ -156,22 +156,29 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     products mod p^2, which fix (A*+B*)/p mod p; a sum not divisible by p
     raises DivisibilityBug.
     """
+    import numpy as np
+
     p = modmath.require_1mod4(p)
     a_set, b_set = list(a_set), list(b_set)
     flags = modmath.square_flags(p)
     p2 = p * p
     a_red = _lift_residues(a_set, p2)
     b_red = _lift_residues(b_set, p2)
+    (a_hi, a_lo), (b_hi, b_lo) = np.divmod(a_red, p), np.divmod(b_red, p)
 
-    def tiles(red, classes) -> bool:
-        # sorted, the reductions mod p are the classes, each hit once
-        r = red % p
-        r.sort()
-        return r.shape == classes.shape and bool((r == classes).all())
+    def tiles(lo, residue: bool) -> bool:
+        # (p-1)/2 lifts in as many classes, none 0 mod p, each of the right kind
+        seen = np.zeros(p, dtype=bool)
+        seen[lo] = True
+        return (
+            lo.size == (p - 1) // 2 == np.count_nonzero(seen)
+            and not seen[0]
+            and bool((flags[lo] == residue).all())
+        )
 
-    if not tiles(a_red, flags.nonzero()[0]):
+    if not tiles(a_lo, True):
         raise BadRepresentatives("a_set does not reduce to the residue set")
-    if not tiles(b_red, (~flags).nonzero()[0][1:]):
+    if not tiles(b_lo, False):
         raise BadRepresentatives("b_set does not reduce to the non-residue set")
 
     a_star = modmath.product_mod_p2(a_red, p)
@@ -184,11 +191,12 @@ def verify_thm21(p, a_set, b_set) -> CongruenceReport:
     data = unit_class_data(p)
     inv = modmath.inverse_table(p)
 
-    def lifted_sum(red) -> int:
+    def lifted_sum(hi, lo) -> int:
         # sum floor(a/p)/a; floor(a/p) = floor((a mod p^2)/p) mod p
-        return int((red // p * inv[red % p] % p).sum())
+        return int((hi * inv[lo] % p).sum())
 
-    rhs = (data.ratio_2hu_t + a_star * lifted_sum(a_red) + b_star * lifted_sum(b_red)) % p
+    lifted = a_star * lifted_sum(a_hi, a_lo) + b_star * lifted_sum(b_hi, b_lo)
+    rhs = (data.ratio_2hu_t + lifted) % p
     return _report(Statement.THM21, p, {"a_set": a_set, "b_set": b_set}, lhs, rhs)
 
 
@@ -278,7 +286,7 @@ def verify_gen_eisenstein(p, m: int) -> CongruenceReport:
 
     h = modmath.harmonic_table(p)
     step = (p - 1) // m
-    rhs = 2 * int(h[step : step * ((m - 1) // 2) + 1 : step].sum()) % p
+    rhs = 2 * int(h[step : step * ((m - 1) // 2) + 1 : step].sum(dtype="int64")) % p
     return _report(Statement.GEN_EISENSTEIN, p, {"m": m}, lhs, rhs)
 
 

@@ -11,17 +11,18 @@ Conventions:
   * R and N are the canonical sets of quadratic residues / non-residues
     in [1, p-1], each of size (p-1)/2;
   * A and B are the products over R and N reduced mod p^2, taken by
-    product_mod_p2, an array kernel on the base-p digits of int64
-    residues.  Every statement reads them only through A + B mod p^2, and
-    the exact products would carry roughly p*log(p) bits.
+    product_mod_p2, an int64 array kernel: one product and one reduction
+    mod p^2 per pair for p <= 55103, base-p digit pairs above.  Every
+    statement reads them only through A + B mod p^2, and the exact
+    products would carry roughly p*log(p) bits.
 
 Every function that takes a prime validates it through as_prime, which
 reads it with operator.index: a float or a string is refused, never
-truncated.  Its primality check and the tables inverse_table,
-harmonic_table (int64) and square_flags (bool) are cached for the last
-_TABLE_CACHE_SIZE primes; least_nonresidue for the last
-_NONRESIDUE_CACHE_SIZE.  primes_to reads one cached tuple of primes per
-bit length.
+truncated.  Its primality check is cached for the last _TABLE_CACHE_SIZE
+primes, least_nonresidue for the last _NONRESIDUE_CACHE_SIZE.  primes_to
+reads one cached tuple of primes per bit length.  The tables
+inverse_table, harmonic_table (int32) and square_flags (bool) share one
+cache, _TABLES, bounded by the bytes it holds (see _TableCache).
 
 sqrt_mod takes square roots mod an odd prime q.  Below
 _SQRT_TABLE_LIMIT = 2048 it reads sqrt_table(q), a read-only int32 array
@@ -37,12 +38,15 @@ the limit (about 0.03 s), not a table for each of its primes.
 The three tables of p are read-only numpy arrays: the inverses are the
 powers of the least primitive root g of p (_powers) read backwards, H is
 the running sum of the inverses, and the residue flags mark the squares
-of 1 .. (p-1)/2.  The O(p) sums of the verifiers (floor_inverse_sums,
-floor_harmonic_sum) reduce each term mod p before summing.  Entries,
-products of two and sums of p of them stay below p^2, so the tables
-refuse p >= 2^31 with OutOfRange before allocating.  numpy is imported
-inside the functions that build arrays, so code that never reads one of
-them (the gaac, aac and density scans) never loads it.
+of 1 .. (p-1)/2.  Each is built on its first read, so a caller that
+reads only H (the eisenstein scan) never builds the flags.  The entries
+of the inverses and of H are below p < 2^31 and are held as int32; the
+O(p) sums of the verifiers (floor_inverse_sums, floor_harmonic_sum,
+legendre_harmonic_sum) reduce each term mod p and add in int64, where
+products of two entries and sums of p of them, all below p^2, fit.  So
+the tables refuse p >= 2^31 with OutOfRange before allocating.  numpy is
+imported inside the functions that build arrays, so code that never
+reads one of them (the gaac, aac and density scans) never loads it.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ import itertools
 import math
 import operator
 import random
+from collections import Counter, OrderedDict, namedtuple
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import TYPE_CHECKING
 
 from .errors import (
@@ -76,9 +81,10 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461
 _MR_EXTRA_ROUNDS = 24
 
+# How many primality checks as_prime keeps.
 _TABLE_CACHE_SIZE = 32
-# Table entries, sums of p of them and products of two stay below p^2,
-# inside int64 while p < 2^31.
+# Table entries stay below 2^31 (int32), and their sums of p terms and
+# products of two below p^2, inside int64, while p < 2^31.
 _TABLE_PRIME_BOUND = 2**31
 
 
@@ -349,7 +355,7 @@ def _table_prime(p) -> int:
     """as_prime, and OutOfRange from 2^31 up, before any table is allocated."""
     p = as_prime(p)
     if p >= _TABLE_PRIME_BOUND:
-        raise OutOfRange(f"p = {p} is not below 2^31, the bound of the int64 tables")
+        raise OutOfRange(f"p = {p} is not below 2^31, the bound of the int32 tables")
     return p
 
 
@@ -369,8 +375,21 @@ def _primitive_root(p: int) -> int:
     )
 
 
+# The table builds take their int64 steps on blocks of at most this many
+# entries (256 KiB), so the temporaries have one size for every p and the
+# allocator hands back the same memory each time.  Temporaries of the
+# table's own length would grow with every new prime of a scan and fault
+# in fresh pages each time.
+_BLOCK = 2**15
+
+
+def _blocks(n: int):
+    """The (start, stop) bounds of the blocks of range(n)."""
+    return ((i, min(i + _BLOCK, n)) for i in range(0, n, _BLOCK))
+
+
 def _powers(p: int) -> np.ndarray:
-    """pw[k] = g^k mod p for k in [0, p-2], g the least primitive root.
+    """pw[k] = g^k mod p for k in [0, p-2], g the least primitive root; int32.
 
     Doubling: once pw[:k] holds g^0 .. g^(k-1), pw[k:2k] = pw[:k] * g^k
     mod p, so log2(p) array steps fill it.
@@ -378,18 +397,88 @@ def _powers(p: int) -> np.ndarray:
     import numpy as np
 
     g = _primitive_root(p)
-    pw = np.empty(p - 1, dtype=np.int64)
+    pw = np.empty(p - 1, dtype=np.int32)
     pw[0] = 1
     k = 1
     while k < p - 1:
         n = min(k, p - 1 - k)
-        pw[k : k + n] = pw[:n] * pow(g, k, p) % p
+        gk = pow(g, k, p)
+        for i, j in _blocks(n):
+            pw[k + i : k + j] = np.multiply(pw[i:j], gk, dtype=np.int64) % p
         k += n
     return pw
 
 
-def _read_only(table: np.ndarray) -> np.ndarray:
-    table.flags.writeable = False
+# What inverse_table.cache_info() and its siblings return; maxsize and
+# currsize count the bytes of the cache they share.
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class _TableCache:
+    """The tables of the primes read last, least recently read first.
+
+    One dict of tables per prime, keyed by the name of the function that
+    built them.  After each build the oldest primes' tables are dropped
+    until the cache holds at most budget bytes, but the tables of the
+    prime just read always stay, even when they alone are larger.  A
+    build may read the other tables of its own prime (harmonic_table
+    reads inverse_table): that prime is the newest, so they stay.
+    """
+
+    def __init__(self, budget: int):
+        self.budget = budget
+        self.nbytes = 0
+        self.bundles: OrderedDict[int, dict[str, np.ndarray]] = OrderedDict()
+        self.hits: Counter = Counter()
+        self.misses: Counter = Counter()
+
+    def read(self, name: str, p: int, build) -> np.ndarray:
+        bundle = self.bundles.setdefault(p, {})
+        self.bundles.move_to_end(p)
+        table = bundle.get(name)
+        if table is not None:
+            self.hits[name] += 1
+            return table
+        self.misses[name] += 1
+        table = bundle[name] = build(p)
+        table.flags.writeable = False
+        self.nbytes += table.nbytes
+        while self.nbytes > self.budget and len(self.bundles) > 1:
+            _, oldest = self.bundles.popitem(last=False)
+            self.nbytes -= sum(t.nbytes for t in oldest.values())
+        return table
+
+    def info(self, name: str) -> CacheInfo:
+        return CacheInfo(self.hits[name], self.misses[name], self.budget, self.nbytes)
+
+    def clear(self, name: str) -> None:
+        """Drop every table built by name and zero its counts."""
+        for bundle in self.bundles.values():
+            table = bundle.pop(name, None)
+            if table is not None:
+                self.nbytes -= table.nbytes
+        self.hits[name] = self.misses[name] = 0
+
+
+# Holds a verify stream's working set, 80 primes near 10^4 at 9 bytes per
+# residue (about 7.5 MB), and the tables of about 40 primes of a scan
+# near 2 * 10^5; with 16 or 32 MiB such a scan drops, frees and faults
+# tables back in more often.
+_TABLE_CACHE_BYTES = 64 * 2**20
+_TABLES = _TableCache(_TABLE_CACHE_BYTES)
+
+
+def _cached_table(build):
+    """build(p) for a prime p below 2^31, made read-only and kept in _TABLES
+    under build's name; cache_info() and cache_clear() as lru_cache's."""
+    name = build.__name__
+
+    @wraps(build)
+    def table(p) -> np.ndarray:
+        return _TABLES.read(name, _table_prime(p), build)
+
+    table.cache_info = lambda: _TABLES.info(name)
+    table.cache_clear = lambda: _TABLES.clear(name)
     return table
 
 
@@ -401,14 +490,21 @@ _PRODUCT_TAIL = 256
 def product_mod_p2(residues: np.ndarray, p: int) -> int:
     """The product of int64 residues in [0, p^2 - 1], reduced mod p^2; p < 2^31.
 
-    Each residue is held as its two base-p digits (lo, hi), both below p.
-    For a = a0 + p*a1 and b = b0 + p*b1, ab = a0*b0 + p*(a0*b1 + a1*b0)
-    mod p^2, so with q, d0 = divmod(a0*b0, p) the product's digits are d0
-    and d1 = (q + a0*b1 + a1*b0) mod p.  The array is halved pairwise,
-    entry i times entry i + n//2, an odd last entry going into a Python
-    accumulator, until _PRODUCT_TAIL entries are left for a Python loop.
+    The array is halved pairwise, entry i times entry i + n//2, an odd
+    last entry going into a Python accumulator, until _PRODUCT_TAIL
+    entries are left for a Python loop.  How a pair is multiplied depends
+    on p.
 
-    Every intermediate is below 2p^2 + p: a0*b0 <= (p-1)^2, q < p and
+    Direct, for p <= 55103: a*b mod p^2, one product and one reduction.
+    The product is at most (p^2 - 1)^2, below 2^63 while p^2 - 1 <=
+    isqrt(2^63 - 1) = 3037000499, that is p <= 55108; 55103 is the
+    largest prime there, and 55109 the next.
+
+    Base-p digits, above: each residue is held as its two digits (lo, hi),
+    both below p.  For a = a0 + p*a1 and b = b0 + p*b1, ab = a0*b0 +
+    p*(a0*b1 + a1*b0) mod p^2, so with q, d0 = divmod(a0*b0, p) the
+    product's digits are d0 and d1 = (q + a0*b1 + a1*b0) mod p.  Every
+    intermediate is below 2p^2 + p: a0*b0 <= (p-1)^2, q < p and
     q + a0*b1 + a1*b0 <= p - 1 + 2(p-1)^2.  For p <= 2^31 - 1,
     2p^2 + p = 2^63 - 2^33 + 2^31 + 1 at most, below 2^63, so int64 never
     overflows; larger p raise OutOfRange.
@@ -418,16 +514,25 @@ def product_mod_p2(residues: np.ndarray, p: int) -> int:
     if p >= _TABLE_PRIME_BOUND:
         raise OutOfRange(f"p = {p} is not below 2^31, the bound of the int64 product")
     p2 = p * p
-    hi, lo = np.divmod(residues, p)
     acc = 1
-    while lo.size > _PRODUCT_TAIL:
-        h = lo.size // 2
-        if lo.size % 2:
-            acc = acc * int(lo[-1] + p * hi[-1]) % p2
-        a0, a1, b0, b1 = lo[:h], hi[:h], lo[h : 2 * h], hi[h : 2 * h]
-        q, lo = np.divmod(a0 * b0, p)
-        hi = (q + a0 * b1 + a1 * b0) % p
-    for r in (lo + p * hi).tolist():
+    if (p2 - 1) ** 2 < 2**63:
+        x = residues
+        while x.size > _PRODUCT_TAIL:
+            h = x.size // 2
+            if x.size % 2:
+                acc = acc * int(x[-1]) % p2
+            x = x[:h] * x[h : 2 * h] % p2
+    else:
+        hi, lo = np.divmod(residues, p)
+        while lo.size > _PRODUCT_TAIL:
+            h = lo.size // 2
+            if lo.size % 2:
+                acc = acc * int(lo[-1] + p * hi[-1]) % p2
+            a0, a1, b0, b1 = lo[:h], hi[:h], lo[h : 2 * h], hi[h : 2 * h]
+            q, lo = np.divmod(a0 * b0, p)
+            hi = (q + a0 * b1 + a1 * b0) % p
+        x = lo + p * hi
+    for r in x.tolist():
         acc = acc * r % p2
     return acc
 
@@ -446,30 +551,40 @@ def integer_array(values) -> np.ndarray:
         return np.array(list(map(operator.index, values)), dtype=object)
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@_cached_table
 def inverse_table(p: int) -> np.ndarray:
-    """inv[k] = k^-1 mod p for k in [1, p-1], with inv[0] = 0.
+    """inv[k] = k^-1 mod p for k in [1, p-1], with inv[0] = 0; int32.
 
     The powers of g read backwards: g^-k = g^(p-1-k), so
     inv[pw[k]] = pw[-k mod (p-1)].
     """
     import numpy as np
 
-    p = _table_prime(p)
     pw = _powers(p)
-    inv = np.zeros(p, dtype=np.int64)
-    inv[pw] = np.concatenate((pw[:1], pw[:0:-1]))
-    return _read_only(inv)
+    inv = np.zeros(p, dtype=np.int32)
+    inv[1] = 1
+    for i, j in _blocks(p - 2):
+        inv[pw[1 + i : 1 + j]] = pw[p - 2 - i : p - 2 - j : -1]
+    return inv
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@_cached_table
 def harmonic_table(p: int) -> np.ndarray:
-    """H[k] = sum_{j<=k} 1/j mod p for k in [0, p-1], with H[0] = 0.
+    """H[k] = sum_{j<=k} 1/j mod p for k in [0, p-1], with H[0] = 0; int32.
 
-    The running sum of inverse_table, reduced once: it stays below p^2.
+    The running sum of inverse_table in int64, one block at a time, the
+    reduced sum of the blocks before carried in: every partial sum stays
+    below p * (_BLOCK + 1).
     """
-    p = _table_prime(p)
-    return _read_only(inverse_table(p).cumsum() % p)
+    import numpy as np
+
+    inv = inverse_table(p)
+    h = np.empty(p, dtype=np.int32)
+    carry = 0
+    for i, j in _blocks(p):
+        h[i:j] = (inv[i:j].cumsum(dtype=np.int64) + carry) % p
+        carry = int(h[j - 1])
+    return h
 
 
 def harmonic_mod(k: int, p) -> int:
@@ -504,7 +619,7 @@ class ResidueSets:
         return tuple((~square_flags(self.p)).nonzero()[0][1:].tolist())
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@_cached_table
 def square_flags(p: int) -> np.ndarray:
     """flags[a] is True when a in [1, p-1] is a quadratic residue mod p.
 
@@ -513,11 +628,10 @@ def square_flags(p: int) -> np.ndarray:
     """
     import numpy as np
 
-    p = _table_prime(p)
     flags = np.zeros(p, dtype=bool)
     roots = np.arange(1, (p + 1) // 2)
     flags[roots * roots % p] = True
-    return _read_only(flags)
+    return flags
 
 
 def residue_sets(p) -> ResidueSets:
@@ -535,7 +649,8 @@ def legendre_harmonic_sum(p) -> int:
     """sum_{k=1}^{p-1} k^-1 (k/p) mod p; vanishes for p = 1 mod 4."""
     p = require_1mod4(p)
     inv = inverse_table(p)
-    return (2 * int(inv @ square_flags(p)) - int(inv.sum())) % p
+    over_r = inv.sum(dtype="int64", where=square_flags(p))
+    return (2 * int(over_r) - int(inv.sum(dtype="int64"))) % p
 
 
 def floor_inverse_sums(m: int, p) -> tuple[int, int]:
@@ -560,7 +675,7 @@ def floor_harmonic_sum(m: int, p) -> int:
     if not 1 <= m <= p - 1:
         raise OutOfRange(f"m = {m} outside [1, {p - 1}]")
     h = harmonic_table(p)
-    return int(h[np.arange(p, p * m, p) // m].sum()) % p
+    return int(h[np.arange(p, p * m, p) // m].sum(dtype=np.int64)) % p
 
 
 def floor_jump_set(m: int, p) -> frozenset[int]:

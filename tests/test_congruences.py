@@ -145,6 +145,11 @@ class TestVerifyThm21:
             cg.verify_thm21(5, [1 + 5 * 2**70, 4.0], [2, 3])
         with pytest.raises(BadRepresentatives):
             cg.verify_thm21(5, [1, 4], [2, -(2**70)])
+        # a b-set of the right size with a multiple of p, a repeated class or a residue
+        nqr = [2, 5, 6, 7, 8, 11]
+        for bad in (13, 26, 2 + 13, 1, 3 + 13 * 9):
+            with pytest.raises(BadRepresentatives, match="b_set"):
+                cg.verify_thm21(13, [1, 3, 4, 9, 10, 12], nqr[:-1] + [bad])
 
     def test_representatives_checked_as_by_sorted_reductions(self):
         # the seen/flags check accepts exactly the sets whose sorted reductions are R and N

@@ -266,7 +266,7 @@ class TestTables:
 
     def test_cached_tables_are_read_only(self):
         tables = (modmath.inverse_table(13), modmath.harmonic_table(13), modmath.square_flags(13))
-        assert [t.dtype for t in tables] == [np.int64, np.int64, np.bool_]
+        assert [t.dtype for t in tables] == [np.int32, np.int32, np.bool_]
         for table in tables:
             with pytest.raises(ValueError):
                 table[1] = 0
@@ -309,6 +309,51 @@ class TestTables:
         assert built == [p]
 
 
+class TestTableCache:
+    def test_bytes_stay_within_the_budget(self):
+        # 12 primes near 10^6 take about 108 MB of tables; only the newest
+        # prime's may pass the budget.  harmonic_table comes first: its build
+        # reads inverse_table into the same prime's tables
+        cache = modmath._TABLES
+        primes = modmath.primes_in(1_000_000, 1_000_300)[:12]
+        for p in primes:
+            for table in (modmath.harmonic_table, modmath.square_flags, modmath.inverse_table):
+                table(p)
+            held = [t.nbytes for bundle in cache.bundles.values() for t in bundle.values()]
+            newest = sum(t.nbytes for t in cache.bundles[p].values())
+            assert cache.nbytes == sum(held) and cache.nbytes - newest <= cache.budget, p
+        assert primes[0] not in cache.bundles
+        assert modmath.inverse_table.cache_info().currsize == cache.nbytes
+
+    def test_a_bundle_larger_than_the_budget_is_kept(self, monkeypatch):
+        monkeypatch.setattr(modmath, "_TABLES", modmath._TableCache(1000))
+        tables = (modmath.inverse_table, modmath.harmonic_table, modmath.square_flags)
+        first = [table(1009) for table in tables]
+        assert all(table(1009) is built for table, built in zip(tables, first))
+        assert list(modmath._TABLES.bundles) == [1009]
+        assert modmath._TABLES.nbytes == 9 * 1009
+        modmath.square_flags(1013)
+        assert list(modmath._TABLES.bundles) == [1013]
+        assert modmath._TABLES.nbytes == 1013
+
+    def test_second_pass_over_80_primes_hits(self):
+        # a verify stream's working set: 80 primes near 10^4
+        primes = modmath.primes_in(9_000, 11_000)[:80]
+        tables = (modmath.inverse_table, modmath.harmonic_table, modmath.square_flags)
+        for table in tables:
+            table.cache_clear()
+        for p in primes:
+            for table in tables:
+                table(p)
+        before = [table.cache_info() for table in tables]
+        for p in primes:
+            for table in tables:
+                table(p)
+        after = [table.cache_info() for table in tables]
+        for b, a in zip(before, after):
+            assert (a.hits - b.hits, a.misses - b.misses) == (80, 0)
+
+
 class TestFloorSums:
     def test_against_direct_sums(self):
         for p in (5, 13, 29, 101, 1009):
@@ -322,6 +367,19 @@ class TestFloorSums:
                 assert modmath.floor_inverse_sums(m, p) == (over[1] % p, over[0] % p), (p, m)
                 want = sum(h[p * j // m] for j in range(1, m)) % p
                 assert modmath.floor_harmonic_sum(m, p) == want, (p, m)
+
+    def test_large_primes_add_in_int64(self):
+        # the sums pass 2^31 here, where an int32 accumulator would wrap
+        for p, m in ((100_049, 77_777), (1_000_033, 123_457)):
+            inv = reference_inverse_table(p)
+            flags = reference_square_flags(p)
+            over = [0, 0]
+            for k in range(1, p):
+                over[flags[k]] += m * k // p * inv[k] % p
+            assert modmath.floor_inverse_sums(m, p) == (over[1] % p, over[0] % p), p
+            h = reference_harmonic_table(inv, p)
+            want = sum(h[p * j // m] for j in range(1, m)) % p
+            assert modmath.floor_harmonic_sum(m, p) == want, p
 
     def test_m_out_of_range(self):
         for m in (0, 13, -1):
@@ -508,6 +566,15 @@ class TestProductModP2:
         rng = random.Random(31)
         self.check([rng.randrange(p * p) for _ in range(3000)], p)
 
+    def test_either_side_of_the_direct_bound(self):
+        # 55103 takes one reduction per pair, whose worst product is (p^2 - 1)^2;
+        # 55109, the next prime, takes the digit pairs
+        rng = random.Random(55103)
+        for p in (55103, 55109):
+            for n in (255, 256, 257, 511, 1025):
+                self.check([p * p - 1] * n, p)
+                self.check([rng.randrange(p * p) for _ in range(n)], p)
+
     def test_refused_from_2_31(self):
         with pytest.raises(OutOfRange, match=r"2\^31"):
             modmath.product_mod_p2(np.array([1, 2], dtype=np.int64), 2**31 + 11)
@@ -523,6 +590,10 @@ class TestLegendreHarmonicSum:
         for p in modmath.primes_in(5, 10_000):
             if p % 4 == 1:
                 assert modmath.legendre_harmonic_sum(p) == 0, p
+
+    def test_sum_past_2_31(self):
+        # the inverses of the residues add up to about 2.5 * 10^9 here
+        assert modmath.legendre_harmonic_sum(100_049) == 0
 
     def test_wrong_class(self):
         with pytest.raises(WrongResidueClass):
