@@ -28,9 +28,9 @@ of another kind or density blocks of another size.
 Exit codes: 0 all statements hold, 1 some congruence failed (a finding,
 not an error: scans keep going past failures), 2 usage or precondition
 violation, 3 checkpoint corruption or I/O failure, 4 internal failure
-(ComputationBug, PrecisionLoss, ToleranceExceeded or any exception from
-outside aactk's hierarchy: the implementation or its precision is at
-fault, not the input).
+(ComputationBug, ToleranceExceeded or any exception from outside aactk's
+hierarchy: the implementation or its precision is at fault, not the
+input).
 """
 
 from __future__ import annotations

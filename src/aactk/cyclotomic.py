@@ -22,7 +22,8 @@ Galois automorphisms sigma_a : zeta -> zeta^a.  The Gauss sum
 tau = sum_k (k/p) zeta^k satisfies tau^2 = p exactly when p = 1 mod 4,
 which is asserted here as an identity of integer vectors, never through
 floats; the only floating-point code is the unit-identity check, which
-fixes zeta = exp(2*pi*i/p) (making tau the positive square root).
+fixes zeta = exp(2*pi*i/p) (making tau the positive square root).  It
+works in mpmath, which it imports itself, so no other code loads it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ import math
 import sys
 from array import array
 from dataclasses import dataclass
-
-import mpmath
 
 from . import modmath, quadfield
 from .errors import (
@@ -330,6 +329,8 @@ def unit_identity_check(p, n: int, tol: float = 1e-8) -> bool:
     leaves each deviation near 10^-50 however large the unit.  Returns
     True when both hold within tol; raises ToleranceExceeded otherwise.
     """
+    import mpmath
+
     p = modmath.require_1mod4(p)
     modmath.require_nonresidue(n, p)
     unit = quadfield.fundamental_unit(p)

@@ -1,10 +1,12 @@
 """Exception hierarchy.
 
 Every public operation documents which of these it raises.  Errors fall
-into three groups: ``PreconditionViolation`` (bad input), plain runtime
-errors (``PrecisionLoss``, ``ToleranceExceeded``), and ``ComputationBug``
-(an internal invariant failed, which means the implementation is wrong,
-not the input).
+into three groups: ``PreconditionViolation`` (bad input), the plain
+runtime error ``ToleranceExceeded`` (a floating-point identity check
+missed its tolerance), and ``ComputationBug`` (an internal invariant
+failed, which means the implementation is wrong, not the input).  The
+analytic class number's rounding guard raises ``ComputationBug``: below
+its cap its float sum is proven within the guard, so a miss is a bug.
 """
 
 
@@ -94,10 +96,6 @@ class EvenD(PreconditionViolation):
 
 class ZeroInput(PreconditionViolation):
     pass
-
-
-class PrecisionLoss(Error):
-    """Rounding came too close to a half-integer; retry at higher precision."""
 
 
 class ToleranceExceeded(Error):

@@ -18,9 +18,9 @@ Conventions:
 
 Every function that takes a prime validates it through as_prime, which
 reads it with operator.index: a float or a string is refused, never
-truncated.  Its primality check is cached for the last _TABLE_CACHE_SIZE
-primes, least_nonresidue for the last _NONRESIDUE_CACHE_SIZE.  primes_to
-reads one cached tuple of primes per bit length.  The tables
+truncated.  Its primality check and least_nonresidue are each cached
+for the last _PRIME_CACHE_SIZE primes.  primes_to reads one cached tuple
+of primes per bit length.  The tables
 inverse_table, harmonic_table (int32) and square_flags (bool) share one
 cache, _TABLES, bounded by the bytes it holds (see _TableCache).
 
@@ -81,8 +81,14 @@ _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_DETERMINISTIC_BOUND = 318_665_857_834_031_151_167_461
 _MR_EXTRA_ROUNDS = 24
 
-# How many primality checks as_prime keeps.
-_TABLE_CACHE_SIZE = 32
+# How many primes the per-prime caches keep: as_prime's primality checks
+# and least_nonresidue, which nonresidue_factorization asks once per call
+# and sqrt_mod once per prime q = 1 mod 4 at or above _SQRT_TABLE_LIMIT.
+# Larger than the number of primes q = 1 mod 4 below 8 * 10^4 (3903), so
+# every q a reduced_forms call asks for (q <= isqrt(disc)//2) stays cached
+# while disc < 2.5 * 10^10, and a verify stream over a few thousand primes
+# checks and searches each of them once.
+_PRIME_CACHE_SIZE = 4096
 # Table entries stay below 2^31 (int32), and their sums of p terms and
 # products of two below p^2, inside int64, while p < 2^31.
 _TABLE_PRIME_BOUND = 2**31
@@ -126,7 +132,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+@lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def _check_odd_prime(p: int) -> int:
     if p < 3 or not is_prime(p):
         raise NotPrime(f"{p} is not an odd prime")
@@ -186,23 +192,15 @@ def legendre(a: int, p) -> int:
     return 1 if r == 1 else -1
 
 
-# nonresidue_factorization asks once per call, and sqrt_mod once per prime
-# q = 1 mod 4 at or above _SQRT_TABLE_LIMIT.  Larger than the number of
-# primes q = 1 mod 4 below 8 * 10^4 (3903), so every q a reduced_forms call
-# asks for (q <= isqrt(disc)//2) stays cached while disc < 2.5 * 10^10, and
-# a verify stream over more primes than _TABLE_CACHE_SIZE, which would
-# thrash a cache that size, still searches each prime once.
-_NONRESIDUE_CACHE_SIZE = 4096
-
 # Square roots mod the odd primes below this come from sqrt_table.
 _SQRT_TABLE_LIMIT = 2048
 
 
-@lru_cache(maxsize=_NONRESIDUE_CACHE_SIZE)
+@lru_cache(maxsize=_PRIME_CACHE_SIZE)
 def least_nonresidue(q: int) -> int:
     """The least quadratic non-residue z >= 2 of the odd prime q, by Euler's
-    criterion; q is not checked.  Cached for the last
-    _NONRESIDUE_CACHE_SIZE primes asked."""
+    criterion; q is not checked.  Cached for the last _PRIME_CACHE_SIZE
+    primes asked."""
     return next(z for z in itertools.count(2) if pow(z, (q - 1) // 2, q) != 1)
 
 

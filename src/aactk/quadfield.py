@@ -30,9 +30,13 @@ The class numbers:
     caller reads through class_number(p), so no verifier touches floating
     point and h does not depend on the unit it multiplies;
   * class_number_dirichlet: the analytic formula with L(1,chi) evaluated
-    by the exact finite log-sine sum (fundamental discriminants only).
-    The second route: `aactk class-number` prints it beside the first,
-    and the tests keep it as the oracle.
+    by the exact finite log-sine sum (fundamental discriminants up to
+    _LSUM_MAX_DISC = 10^13).  The second route: `aactk class-number`
+    prints it beside the first, and the tests keep it as the oracle.  It
+    sums in doubles with math.fsum; its docstring derives the error bound
+    that keeps the result within 0.25 of h below the cap, so it has one
+    arithmetic and no retry, and a result that fails to round is a
+    ComputationBug.
 
 A binary quadratic form a x^2 + b xy + c y^2 is the int tuple (a, b, c)
 throughout.  reduced_forms finds the reduced forms of one discriminant
@@ -52,7 +56,7 @@ whose fundamental unit has norm -1 (in particular every prime
 p = 1 mod 4) this coincides with the ideal class number of Q(sqrt(p)).
 
 All integer work is exact; math.log takes the logarithm of a unit of
-any size, good to ~1e-15 relative.
+any size, good to ~1e-15 relative.  Nothing here loads mpmath.
 """
 
 from __future__ import annotations
@@ -61,16 +65,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
-
 from . import modmath
-from .errors import (
-    BadDiscriminant,
-    ComputationBug,
-    OutOfRange,
-    PerfectSquare,
-    PrecisionLoss,
-)
+from .errors import BadDiscriminant, ComputationBug, OutOfRange, PerfectSquare
 
 _LN2 = math.log(2)
 
@@ -108,6 +104,15 @@ def _require_nonsquare(D: int) -> None:
         raise OutOfRange(f"D = {D} must be >= 2")
     if math.isqrt(D) ** 2 == D:
         raise PerfectSquare(f"D = {D} is a perfect square")
+
+
+def _discriminant_root(disc: int) -> int:
+    """isqrt(disc) of a positive nonsquare disc = 0 or 1 mod 4 (BadDiscriminant otherwise)."""
+    if disc > 0 and disc % 4 in (0, 1):
+        s = math.isqrt(disc)
+        if s * s != disc:
+            return s
+    raise BadDiscriminant(f"{disc} is not a positive nonsquare discriminant (0 or 1 mod 4)")
 
 
 def unit_of_discriminant(disc: int) -> tuple[int, int, int]:
@@ -162,9 +167,7 @@ def unit_of_discriminant(disc: int) -> tuple[int, int, int]:
     (t1, t2) = (3, 1) and disc*u^2 = 5, so disc = 5 alone, whose unit
     (1 + sqrt(5))/2 has norm -1.
     """
-    if disc <= 0 or disc % 4 not in (0, 1) or math.isqrt(disc) ** 2 == disc:
-        raise BadDiscriminant(f"{disc} is not a positive nonsquare discriminant")
-    s = math.isqrt(disc)
+    s = _discriminant_root(disc)
     P, Q = disc % 2, 2
     q_2, q_1 = 1, 0  # q_(k-2), q_(k-1) before step k
     while True:
@@ -270,9 +273,9 @@ def is_fundamental_discriminant(d: int) -> bool:
     return False
 
 
-# The decimal precision of the class-number retry, well above a double's 16
-# digits, so the retry is finer than the float sum it retries.
-_FALLBACK_DPS = 50
+# The largest d class_number_dirichlet takes: its float sum stays within
+# 0.25 of h to about 3 * 10^13 (see its docstring).
+_LSUM_MAX_DISC = 10**13
 
 
 def _chi_half(d: int) -> list[int]:
@@ -293,15 +296,11 @@ def _chi_half(d: int) -> list[int]:
     return chi
 
 
-def _lsum(d: int, lib=math) -> float:
-    """sum_{a=1}^{d-1} chi(a) log sin(pi a / d) in lib's arithmetic, math or
-    mpmath (at the caller's mpmath.workdps)."""
-    pi = +lib.pi
-    total = 0
-    for a, chi in enumerate(_chi_half(d)):
-        if chi:
-            total += chi * lib.log(lib.sin(pi * a / d))
-    return float(2 * total)
+def _lsum(d: int) -> float:
+    """sum_{a=1}^{d-1} chi(a) log sin(pi a / d): the terms a < d/2 added by
+    math.fsum, exactly rounded, and doubled."""
+    pi, log, sin = math.pi, math.log, math.sin
+    return 2 * math.fsum(chi * log(sin(pi * a / d)) for a, chi in enumerate(_chi_half(d)) if chi)
 
 
 def class_number_dirichlet(d: int) -> int:
@@ -313,30 +312,46 @@ def class_number_dirichlet(d: int) -> int:
     is symmetric about d/2), and divides sqrt(d)*L(1,chi) by the
     regulator of the totally positive fundamental unit: eps_d and its
     norm come from the continued-fraction walk over (sigma + sqrt(d))/2,
-    and the regulator is 2 log eps_d when eps_d has norm -1, as it does
-    for every prime p = 1 mod 4.  Rounds to the nearest integer and
-    demands a rounding distance < 0.25, retrying once in software
-    extended precision before raising PrecisionLoss.
+    and the regulator R is 2 log eps_d when eps_d has norm -1, as it does
+    for every prime p = 1 mod 4.  So h = -L/R with L the sum.
+
+    The float sum's error.  Let u = 2^-53 be the unit roundoff, and sin
+    and log be within 1 ulp (2u relative), as the C library's are.  For
+    a < d/2, a and d are exact doubles (d < 2^53), and the argument
+    fl(fl(pi a)/d) is x = pi a/d times (1 + theta), |theta| <= 3u + O(u^2),
+    from pi's rounding and two operations.  On (0, pi/2]
+    |d log sin(x)/dx| = cot x <= 1/x, so the argument's error moves
+    log sin by at most about 3u; sin's own error moves it by 2u; and log
+    adds 2u of its result, whose size is at most ln(d/2), since
+    sin x >= 2x/pi >= 2/d.  Each term (chi = +-1 is exact) is then within
+    (6 + 2 ln d) u of the exact term, second-order terms included.
+    math.fsum rounds the sum of the at most (d-1)/2 computed terms exactly
+    and once (Shewchuk's algorithm), so the doubled sum is within
+        d (6 + 2 ln d) u + u |L|
+    of L, and |L| = sqrt(d) L(1,chi) is negligible beside the first term.
+    R >= 2 log((1 + sqrt 5)/2) > 0.96, the least regulator.  R's own
+    error (under 1e-14 relative) and the division's rounding move the
+    quotient by under 1e-6, as h = sqrt(d) L(1,chi)/R < 10^8 below the
+    cap (L(1,chi) <= ln(d)/2 + 1).  So
+        |-fl(L)/R - h| < d (6 + 2 ln d) u / 0.96 + 1e-6,
+    below 0.25 while d < 3.1 * 10^13.  d above _LSUM_MAX_DISC = 10^13,
+    where the bound is 0.08, is refused with OutOfRange before any other
+    work.  Below it, a result more than 0.25 from an integer >= 1 can
+    only come from a wrong unit or a wrong chi, and raises ComputationBug.
     """
+    if d > _LSUM_MAX_DISC:
+        raise OutOfRange(f"d = {d} is above {_LSUM_MAX_DISC}, where the float L-sum is bounded")
     if not is_fundamental_discriminant(d):
         raise BadDiscriminant(f"{d} is not a positive fundamental discriminant")
     t, u, norm = unit_of_discriminant(d)
     log_eps = _ln_half_quad(t, u, d)
     log_plus = 2 * log_eps if norm == -1 else log_eps
-
-    def _round_strict(lsum: float) -> int | None:
-        h_real = -lsum / log_plus
-        h = round(h_real)
-        if abs(h_real - h) >= 0.25 or h < 1:
-            return None
-        return h
-
-    h = _round_strict(_lsum(d))
-    if h is None:
-        with mpmath.workdps(_FALLBACK_DPS):
-            h = _round_strict(_lsum(d, mpmath))
-        if h is None:
-            raise PrecisionLoss(f"d = {d}: analytic class number failed to round")
+    h_real = -_lsum(d) / log_plus
+    h = round(h_real)
+    if abs(h_real - h) >= 0.25 or h < 1:
+        raise ComputationBug(
+            f"d = {d}: the analytic class number {h_real} is not within 0.25 of an integer >= 1"
+        )
     return h
 
 
@@ -371,11 +386,7 @@ def reduced_forms(disc: int) -> list[tuple[int, int, int]]:
     of either.  Nothing here re-tests reducedness: form_class_number's
     walk does.
     """
-    if disc <= 0 or disc % 4 not in (0, 1):
-        raise BadDiscriminant(f"{disc} is not a discriminant (need 0 or 1 mod 4)")
-    s = math.isqrt(disc)
-    if s * s == disc:
-        raise BadDiscriminant(f"{disc} is a perfect square")
+    s = _discriminant_root(disc)
     first, half = 2 - disc % 2, s // 2
 
     def n_at(i: int) -> int:

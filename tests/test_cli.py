@@ -431,6 +431,12 @@ class TestUnitAndClassNumber:
         assert code == 4 and out == ""
         assert err.count("\n") == 1 and "ComputationBug" in err and "h = 2" in err and "h = 3" in err
 
+    def test_class_number_that_does_not_round_exits_4(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli.quadfield, "_lsum", lambda d: -1.0)
+        code, out, err = run(capsys, "class-number", "--disc", "229")
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "ComputationBug" in err and "not within 0.25" in err
+
     def test_class_number_nonfundamental(self, capsys):
         # 7268 = 4 * 1817 = 4 mod 16: only the form count is reported
         code, out, _ = run(capsys, "class-number", "--disc", "7268")
@@ -491,6 +497,30 @@ def test_scans_do_not_import_numpy(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def test_runs_do_not_import_mpmath(tmp_path):
+    # only unit_identity_check reads mpmath, and it imports it itself
+    script = (
+        "import sys, contextlib, io, aactk, aactk.cli\n"
+        "assert 'mpmath' not in sys.modules\n"
+        "for argv in (['scan', 'gaac', '--max', '200', '--jobs', '1'],\n"
+        "             ['scan', 'aac', '--max', '2000', '--jobs', '1'],\n"
+        "             ['scan', 'density', '--x', '20000', '--jobs', '1'],\n"
+        "             ['scan', 'eisenstein', '--max', '2000', '--jobs', '1'],\n"
+        "             ['verify', 'aac', '--p', '13'], ['verify', 'thm51', '--p', '13', '--m', '2'],\n"
+        "             ['class-number', '--disc', '40']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert aactk.cli.main(argv) in (0, 1), argv\n"
+        "print('mpmath' in sys.modules)\n"
+        "assert aactk.cyclotomic.unit_identity_check(13, 2)\n"
+        "print('mpmath' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=CHILD_ENV, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-2:] == ["False", "True"]
 
 
 class TestExitCodes:

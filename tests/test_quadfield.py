@@ -250,6 +250,17 @@ def reference_lsum(d):
     return total
 
 
+def mpmath_lsum(d):
+    """Oracle: the log-sine sum at 40 decimal digits, over a < d/2 and
+    doubled, with chi from quadfield._chi_half (tested against kronecker)."""
+    with mpmath.workdps(40):
+        return 2 * mpmath.fsum(
+            chi * mpmath.log(mpmath.sinpi(mpmath.mpf(a) / d))
+            for a, chi in enumerate(quadfield._chi_half(d))
+            if chi
+        )
+
+
 def rho_step(form, disc):
     """Oracle: one rho step (a, b, c) -> (c, b', (b'^2 - disc)/(4c)), b' = s - (s + b) mod 2|c|."""
     s = math.isqrt(disc)
@@ -535,25 +546,31 @@ class TestClassNumbers:
             approx, bound = l_series_estimate(d)
             assert abs(approx - exact) <= bound, d
 
-    def test_extended_precision_fallback(self, monkeypatch):
-        # ruin the float sum: the mpmath retry must still land on h = 3
-        lsum = quadfield._lsum
-        monkeypatch.setattr(
-            quadfield, "_lsum", lambda d, lib=math: -1.0 if lib is math else lsum(d, lib)
-        )
-        assert quadfield.class_number_dirichlet(229) == 3
-
-    def test_precision_loss_raised(self, monkeypatch):
-        from aactk.errors import PrecisionLoss
-
-        monkeypatch.setattr(quadfield, "_lsum", lambda d, lib=math: -1.0)
-        with pytest.raises(PrecisionLoss):
+    def test_sum_that_does_not_round_is_a_bug(self, monkeypatch):
+        # below the cap the float sum is proven within 0.25 of h, so a miss
+        # means a wrong unit or a wrong chi
+        monkeypatch.setattr(quadfield, "_lsum", lambda d: -1.0)
+        with pytest.raises(ComputationBug, match="not within 0.25"):
             quadfield.class_number_dirichlet(229)
+
+    def test_cap_refuses_before_any_work(self, monkeypatch):
+        cap = quadfield._LSUM_MAX_DISC
+        d = next(p for p in range(cap + 1, cap + 1000, 4) if modmath.is_prime(p))
+
+        def no_work(*args):
+            raise AssertionError("work done above the cap")
+
+        for name in ("_lsum", "is_fundamental_discriminant", "unit_of_discriminant"):
+            monkeypatch.setattr(quadfield, name, no_work)
+        with pytest.raises(OutOfRange):
+            quadfield.class_number_dirichlet(d)
+        monkeypatch.undo()
+        with pytest.raises(BadDiscriminant):  # the cap itself passes, to the next check
+            quadfield.class_number_dirichlet(cap)
 
     def test_mpmath_lsum_matches_float(self):
         for d in (5, 40, 229):
-            with mpmath.workdps(30):
-                assert abs(quadfield._lsum(d, mpmath) - quadfield._lsum(d)) < 1e-9
+            assert abs(mpmath_lsum(d) - quadfield._lsum(d)) < 1e-9
 
     def test_is_fundamental_discriminant(self):
         assert quadfield.is_fundamental_discriminant(5)
@@ -574,9 +591,20 @@ class TestLSum:
             assert abs(quadfield._lsum(d) - reference_lsum(d)) < 1e-9, d
 
     def test_mpmath_half_sum_matches_full_sum(self):
+        # the 40-digit oracle's half sum against the float sum over every a
         for d in (5, 8, 12, 229, 1229, 1996, 2953):
-            with mpmath.workdps(30):
-                assert abs(quadfield._lsum(d, mpmath) - reference_lsum(d)) < 1e-9, d
+            assert abs(mpmath_lsum(d) - reference_lsum(d)) < 1e-9, d
+
+    def test_float_sum_within_its_bound(self):
+        # 100049 is prime; 1021020 = 4 * 3 * 5 * 7 * 11 * 13 * 17 has 92k terms
+        # class_number_dirichlet's docstring bounds the error of _lsum(d) by
+        # 2n (6 + 2 ln d) u + u |L| for its n <= (d-1)/2 nonzero terms
+        u = 2.0**-53
+        for d in (5, 8, 12, 229, 1229, 1996, 2953, 100049, 1021020):
+            want = mpmath_lsum(d)
+            n = sum(1 for chi in quadfield._chi_half(d) if chi)
+            bound = 2 * n * (6 + 2 * math.log(d)) * u + u * abs(want)
+            assert abs(quadfield._lsum(d) - want) <= bound, d
 
     def test_prime_table_is_the_kronecker_symbol(self):
         for p in modmath.primes_in(5, 3000):

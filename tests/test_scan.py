@@ -80,14 +80,15 @@ def test_pool_starts_at_most_one_worker_per_cpu(monkeypatch):
 
 
 def test_prime_check_cache_stays_bounded():
-    # a caller may visit many primes; the validation cache keeps only the latest
-    primes = scan.plan("aac", 5, 20_000)[:1000]
-    assert len(primes) == 1000
+    # a caller may visit more primes than the bound; the validation cache
+    # keeps only the latest
+    primes = scan.plan("aac", 5, 100_000)
+    assert len(primes) > modmath._PRIME_CACHE_SIZE
     for p in primes:
         quadfield.fundamental_unit(p)
     info = modmath._check_odd_prime.cache_info()
-    assert info.maxsize == modmath._TABLE_CACHE_SIZE
-    assert info.currsize <= modmath._TABLE_CACHE_SIZE
+    assert info.maxsize == modmath._PRIME_CACHE_SIZE
+    assert info.currsize == modmath._PRIME_CACHE_SIZE
 
 
 def test_aac_scan_proves_no_prime_again(monkeypatch):
