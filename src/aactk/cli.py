@@ -278,16 +278,26 @@ def _run_unit(args) -> int:
 
 
 def _run_class_number(args) -> int:
+    """h_forms, the cycle count, and beside it a second route where one
+    applies: h_dirichlet, the analytic formula, for a fundamental disc, and
+    h_descent, the conductor-2 descent from the forms of disc/4, for
+    disc = 4D with D = 1 mod 4 (never fundamental).  Two routes that
+    disagree raise ComputationBug."""
     disc = args.disc
-    record: dict = {"disc": disc, "h_forms": quadfield.form_class_number(disc)}
+    h_forms = quadfield.form_class_number(disc)
+    record: dict = {"disc": disc, "h_forms": h_forms}
     if quadfield.is_fundamental_discriminant(disc):
-        record["h_dirichlet"] = quadfield.class_number_dirichlet(disc)
-        if record["h_dirichlet"] != record["h_forms"]:
-            raise ComputationBug(
-                f"disc = {disc}: the form count gives h = {record['h_forms']},"
-                f" the analytic formula h = {record['h_dirichlet']}"
-            )
-        record["agree"] = True
+        second = "h_dirichlet", "the analytic formula", quadfield.class_number_dirichlet(disc)
+    elif disc % 16 == 4:
+        unit = quadfield.unit_of_discriminant(disc)
+        second = "h_descent", "the descent from disc/4", quadfield.class_number_4D(disc // 4, unit)
+    else:
+        second = None
+    if second:
+        name, route, h = second
+        if h != h_forms:
+            raise ComputationBug(f"disc = {disc}: the form count gives h = {h_forms}, {route} h = {h}")
+        record.update({name: h, "agree": True})
     _render([record], args.format, sys.stdout)
     return EXIT_OK
 
@@ -336,7 +346,9 @@ def _parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentPars
     u.add_argument("--d", type=int, required=True)
     u.set_defaults(func=_run_unit)
 
-    c = sub.add_parser("class-number", help="form class number of a discriminant")
+    c = sub.add_parser(
+        "class-number", help="form class number of a discriminant, and a second route where one applies"
+    )
     c.add_argument("--disc", type=int, required=True)
     c.set_defaults(func=_run_class_number)
 

@@ -1,9 +1,16 @@
 """Divisibility checks for v1 * h(4D) mod D over odd nonsquare D.
 
 For each odd nonsquare D >= 3 the verdict records the least Pell
-solution's v1 mod D, the form class number h(4D) by cycle counting, the
-product mod D, and whether v1 * h(4D) is nonzero mod D.  The three known
-odd failures below 10^8 all fail through v1 = 0 mod D:
+solution's v1 mod D, the form class number h(4D), the product mod D, and
+whether v1 * h(4D) is nonzero mod D.  One continued-fraction walk of
+discriminant 4D gives v1 and is shared with quadfield.class_number_4D:
+for D = 3 mod 4 that is the cycle count form_class_number(4D), and for
+D = 1 mod 4 the conductor-2 class number formula
+h(4D) = h(D) * (2 - (D/2)) / k from the cycles of discriminant D, where
+k in {1, 3} reads the parity of the unit of D, and that unit to the
+power k must equal the walk's unit of 4D exactly (ComputationBug
+otherwise).  The three known odd failures below 10^8 all fail through
+v1 = 0 mod D:
 
     1817 = 23*79,  209991 = 3*69997,  1752299 = 41*79*541.
 
@@ -52,9 +59,10 @@ def gaac_check(D: int) -> GaacVerdict:
         raise OutOfRange(f"D = {D} must be >= 3")
     if D % 2 == 0:
         raise EvenD(f"D = {D} is even; the divisibility claim is for odd D")
-    pell = quadfield.pell_min_solution(D)
-    v1_mod = pell.v1 % D
-    h4d = quadfield.form_class_number(4 * D)
+    quadfield.require_nonsquare(D)
+    unit = quadfield.unit_of_discriminant(4 * D)  # one walk for v1 and h(4D)'s check
+    v1_mod = quadfield.pell_from_unit(D, unit).v1 % D
+    h4d = quadfield.class_number_4D(D, unit)
     product = v1_mod * (h4d % D) % D
     return GaacVerdict(
         D=D,

@@ -38,6 +38,12 @@ The class numbers:
     arithmetic and no retry, and a result that fails to round is a
     ComputationBug.
 
+class_number_4D(D, unit_4D) is h(4D) for the divisibility check: the
+cycle count for D != 1 mod 4, and for D = 1 mod 4 the conductor-2 class
+number formula over the cycles of discriminant D, which reads the parity
+of the unit of D and requires that unit, to the power 1 or 3, to be the
+unit of 4D exactly.  form_class_number(4D) is its oracle in the tests.
+
 A binary quadratic form a x^2 + b xy + c y^2 is the int tuple (a, b, c)
 throughout.  reduced_forms finds the reduced forms of one discriminant
 with one sieve: the smaller of |a|, |c| is a divisor d <= isqrt(disc)//2
@@ -99,7 +105,8 @@ class PellSolution:
     v1: int
 
 
-def _require_nonsquare(D: int) -> None:
+def require_nonsquare(D: int) -> None:
+    """Refuse D < 2 (OutOfRange) and perfect squares (PerfectSquare)."""
     if D < 2:
         raise OutOfRange(f"D = {D} must be >= 2")
     if math.isqrt(D) ** 2 == D:
@@ -201,7 +208,7 @@ def cf_sqrt(D: int) -> CFExpansion:
     its last quotient 1 too large; the norm's parity tells when, and the
     last quotient c is split into c - 1, 1.  The period closes with 2*a0.
     """
-    _require_nonsquare(D)
+    require_nonsquare(D)
     t, y, norm = unit_of_discriminant(4 * D)
     x = t // 2
     quotients = []
@@ -216,13 +223,18 @@ def cf_sqrt(D: int) -> CFExpansion:
 
 
 def pell_min_solution(D: int) -> PellSolution:
-    """Least solution of u^2 - D v^2 = 1, from the unit of discriminant 4D.
+    """Least solution of u^2 - D v^2 = 1, from the unit of discriminant 4D."""
+    require_nonsquare(D)
+    return pell_from_unit(D, unit_of_discriminant(4 * D))
 
-    The walk gives (x + y*sqrt(D)) with x = t/2, y = u; when its norm is
+
+def pell_from_unit(D: int, unit_4D: tuple[int, int, int]) -> PellSolution:
+    """Least solution of u^2 - D v^2 = 1 from unit_4D = unit_of_discriminant(4D).
+
+    That unit is (x + y*sqrt(D)) with x = t/2, y = u; when its norm is
     -1 (odd period) the least solution is its square.
     """
-    _require_nonsquare(D)
-    t, y, norm = unit_of_discriminant(4 * D)
+    t, y, norm = unit_4D
     x = t // 2
     if norm == 1:
         return PellSolution(D=D, u1=x, v1=y)
@@ -474,6 +486,66 @@ def form_class_number(disc: int) -> int:
                     " or a walk already took"
                 ) from None
     return cycles
+
+
+def class_number_4D(D: int, unit_4D: tuple[int, int, int]) -> int:
+    """h(4D), the proper form class number of discriminant 4D, for nonsquare
+    D >= 2, given unit_4D = unit_of_discriminant(4D).
+
+    For D != 1 mod 4 it is form_class_number(4D), the cycle count, and
+    unit_4D is not read.
+
+    For D = 1 mod 4 it descends to the forms of D, a fraction of those of
+    4D.  O = Z[(1 + sqrt(D))/2] is the order of discriminant D, and
+    Z[sqrt(D)] = Z + 2O, of discriminant 4D, is the order of conductor 2
+    inside it; D is odd, so 2 is prime to O's own conductor.  The class
+    number formula for orders (Cox, Primes of the Form x^2 + ny^2,
+    Thm 7.24, taken with narrow classes and totally positive units, which
+    is what proper equivalence of forms counts) rests on the exact sequence
+
+        1 -> O+* / Z[sqrt(D)]+* -> (O/2O)* / (Z/2Z)* -> C+(4D) -> C+(D) -> 1,
+
+    where +* are the totally positive units.  (Z/2Z)* is trivial.
+    O/2O = F_2[x]/(x^2 - x - (D-1)/4): for D = 5 mod 8, x^2 + x + 1 is
+    irreducible and (O/2O)* = F_4*, of order 3; for D = 1 mod 8,
+    x^2 + x = x(x + 1) and (O/2O)* = (F_2 x F_2)* is trivial.  Both orders
+    are 2 - (D/2).  The image of O+* = <eps+> is generated by the image of
+    eps+, which is eps or eps^2 for eps = eps_D; squaring permutes a group
+    of order 1 or 3, so the unit index k is the order of eps in (O/2O)*,
+    and the kernel is generated by eps^k, the fundamental unit of
+    discriminant 4D.  So
+
+        h(4D) = h(D) * (2 - (D/2)) / k,   k in {1, 3}.
+
+    eps = (t + u*sqrt(D))/2 with t^2 - D*u^2 = +-4, so t and u share a
+    parity, and eps lies in Z[sqrt(D)] (k = 1) exactly when t is even;
+    otherwise k = 3.  For D = 1 mod 8 odd t, u would give
+    t^2 - D*u^2 = 0 mod 8, so t is even and h(4D) = h(D); for D = 5 mod 8,
+    h(4D) is h(D) when t is odd and 3h(D) when t is even.
+
+    So h(4D) reads the parity of t from the walk of D.  That walk is tied
+    to the walk of 4D: ComputationBug is raised unless eps^k equals the
+    unit (t4 + u4*sqrt(4D))/2 = t4/2 + u4*sqrt(D) of unit_4D exactly, as
+    integers, that is (t, u) = (t4, 2*u4) for k = 1, and
+    (t^3 + 3t*D*u^2, 3t^2*u + D*u^3) = (4*t4, 8*u4), eps^3 times 8, for
+    k = 3.  A pair of walks that both returned the same power eps^j,
+    j prime to 3, of their true units would still pass, as v1 would; the
+    check is against each other, not against an analytic value.
+    """
+    if D % 4 != 1:
+        return form_class_number(4 * D)
+    t, u, _ = unit_of_discriminant(D)
+    t4, u4, _ = unit_4D
+    if t % 2 == 0:
+        k, tied = 1, (t, u) == (t4, 2 * u4)
+    else:
+        k, tied = 3, (t * (t * t + 3 * D * u * u), u * (3 * t * t + D * u * u)) == (4 * t4, 8 * u4)
+    if not tied:
+        raise ComputationBug(
+            f"D = {D}: the unit ({t} + {u}*sqrt(D))/2 to the power {k} is not"
+            f" the unit {unit_4D} of discriminant 4D"
+        )
+    return form_class_number(D) * (2 - modmath.kronecker(D, 2)) // k
 
 
 @lru_cache(maxsize=None)

@@ -18,7 +18,7 @@ import os
 from typing import Iterator
 
 from . import congruences, gaac, modmath, quadfield
-from .errors import OutOfRange, PreconditionViolation
+from .errors import CheckpointCorrupt, OutOfRange, PreconditionViolation
 
 _PARALLEL_THRESHOLD = 64  # below this many items, process pools cost more than they save
 
@@ -53,6 +53,32 @@ KINDS = {
     "density": (_density_record, ("n_lo", "n_hi"), {"n_lo", "n_hi", "count"}),
 }
 
+# kind: (the type of each field, matched exactly, so that a bool is no int;
+#        the rule a record's fields keep, as text, and as a test)
+_RECORD_RULES = {
+    "gaac": (
+        {"D": int, "v1_mod_D": int, "h4D": int, "holds": bool},
+        "0 <= v1_mod_D < D and holds == (v1_mod_D * h4D mod D != 0)",
+        lambda r: 0 <= r["v1_mod_D"] < r["D"]
+        and r["holds"] == (r["v1_mod_D"] * r["h4D"] % r["D"] != 0),
+    ),
+    "aac": (
+        {"p": int, "u_mod_p": int, "holds": bool},
+        "0 <= u_mod_p < p and holds == (u_mod_p != 0)",
+        lambda r: 0 <= r["u_mod_p"] < r["p"] and r["holds"] == (r["u_mod_p"] != 0),
+    ),
+    "eisenstein": (
+        {"stmt": str, "p": int, "params": dict, "lhs": int, "rhs": int, "holds": bool, "notes": list},
+        "holds == (lhs == rhs)",
+        lambda r: r["holds"] == (r["lhs"] == r["rhs"]),
+    ),
+    "density": (
+        {"n_lo": int, "n_hi": int, "count": int},
+        "0 <= count <= n_hi - n_lo + 1",
+        lambda r: 0 <= r["count"] <= r["n_hi"] - r["n_lo"] + 1,
+    ),
+}
+
 
 def plan(kind: str, lo: int, hi: int, block: int = 1000) -> list:
     """The items of a scan over [lo, hi], ascending; `block` sizes density blocks."""
@@ -75,13 +101,25 @@ def resumed(kind: str, lo: int, hi: int, items: list, records: list[dict]) -> di
     kind, or one that reaches into [lo, hi] without answering a planned
     item (a density block of another size, say), raises
     PreconditionViolation: resuming from it would change a total.
+
+    The crc of a line proves only that it was written whole, so each
+    record is also checked against itself, and CheckpointCorrupt names
+    the record that fails: every field must have its kind's type, a
+    record taken must keep its kind's rule (a gaac verdict must follow
+    from its v1 and h4D, an aac verdict from its u), and two records for
+    one item must be identical, which takes them once.
     """
     _, key, fields = KINDS[kind]
+    types, rule_text, rule = _RECORD_RULES[kind]
     planned = set(items)
     done = {}
     for record in records:
         if set(record) != fields:
             raise PreconditionViolation(f"checkpoint record {record} is not a {kind} record")
+        for name, type_ in types.items():
+            if type(record[name]) is not type_:
+                got, want = type(record[name]).__name__, type_.__name__
+                raise CheckpointCorrupt(f"checkpoint record {record}: {name} is {got}, not {want}")
         span = [record[name] for name in key]
         if span[-1] < lo or span[0] > hi:
             continue
@@ -90,7 +128,11 @@ def resumed(kind: str, lo: int, hi: int, items: list, records: list[dict]) -> di
             raise PreconditionViolation(
                 f"checkpoint record {record} is not an item of this {kind} scan"
             )
-        done[item] = record
+        if not rule(record):
+            raise CheckpointCorrupt(f"checkpoint record {record} breaks {rule_text}")
+        earlier = done.setdefault(item, record)
+        if earlier != record:
+            raise CheckpointCorrupt(f"checkpoint records {earlier} and {record} differ for one item")
     return done
 
 

@@ -363,6 +363,63 @@ class TestScanCommand:
         assert not ck.exists()
 
 
+class TestResumeChecks:
+    """Crafted checkpoints whose lines pass their crc but not the record checks."""
+
+    @staticmethod
+    def crafted(capsys, tmp_path, kind, edit, extra=None):
+        """A checkpoint of `scan kind --max 2000` with one record edited
+        (and `extra` fields appended as one more record), each line with
+        a fresh crc."""
+        ck = tmp_path / f"{kind}.jsonl"
+        run(capsys, "scan", kind, "--max", "2000", "--checkpoint", str(ck), "--jobs", "1")
+        records = [cli._check_crc(json.loads(line)) for line in ck.read_text().splitlines()]
+        key = "D" if kind == "gaac" else "p"
+        target = 1817 if kind == "gaac" else 13
+        (i,) = [i for i, r in enumerate(records) if r[key] == target]
+        if extra is not None:
+            records.append({**records[i], **extra})
+        records[i].update(edit)
+        ck.write_text("".join(cli._canonical(cli._with_crc(r)) + "\n" for r in records))
+        return ck
+
+    @pytest.mark.parametrize(
+        "kind, edit, extra, message",
+        [
+            ("gaac", {"D": "1817"}, None, "D is str, not int"),
+            ("gaac", {"D": 1817.0}, None, "D is float, not int"),
+            ("gaac", {"v1_mod_D": True}, None, "v1_mod_D is bool, not int"),
+            ("gaac", {"h4D": None}, None, "h4D is NoneType, not int"),
+            ("gaac", {"holds": 0}, None, "holds is int, not bool"),
+            ("gaac", {"holds": True}, None, "breaks 0 <= v1_mod_D < D and holds =="),
+            ("gaac", {"v1_mod_D": 1817, "holds": False}, None, "breaks 0 <= v1_mod_D < D"),
+            ("gaac", {}, {"v1_mod_D": 5, "holds": True}, "differ for one item"),
+            ("aac", {"p": "13"}, None, "p is str, not int"),
+            ("aac", {"u_mod_p": 0}, None, "breaks 0 <= u_mod_p < p and holds == (u_mod_p != 0)"),
+            ("aac", {"u_mod_p": 14}, None, "breaks 0 <= u_mod_p < p"),
+            ("aac", {}, {"u_mod_p": 2}, "differ for one item"),
+        ],
+    )
+    def test_a_record_that_fails_a_check_exits_3(self, capsys, tmp_path, kind, edit, extra, message):
+        ck = self.crafted(capsys, tmp_path, kind, edit, extra)
+        before = ck.read_bytes()
+        code, out, err = run(
+            capsys, "scan", kind, "--max", "2000", "--checkpoint", str(ck), "--jobs", "1"
+        )
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert "checkpoint corrupt" in err and message in err
+        assert ("1817" if kind == "gaac" else "13") in err  # names the record
+        assert ck.read_bytes() == before
+
+    def test_identical_duplicates_are_taken_once(self, capsys, tmp_path):
+        ck = self.crafted(capsys, tmp_path, "gaac", {}, {})
+        code, out, _ = run(
+            capsys, "scan", "gaac", "--max", "2000", "--checkpoint", str(ck), "--jobs", "1"
+        )
+        counted = sum(1 for D in range(3, 2001, 2) if math.isqrt(D) ** 2 != D)
+        assert code == 1 and f"counted={counted} held={counted - 1} failed=1 " in out
+
+
 class TestReportCommand:
     def test_round_trip_counts(self, capsys, tmp_path):
         ck = tmp_path / "r.jsonl"
@@ -443,6 +500,21 @@ class TestUnitAndClassNumber:
         assert code == 0
         (rec,) = parse_lines(out)
         assert rec["h_forms"] == 2 and "h_dirichlet" not in rec
+
+    def test_class_number_of_4D_with_D_1_mod_4_has_a_descent_route(self, capsys):
+        # 7268 = 4 * 1817, 1817 = 1 mod 8: h(4D) = h(D)
+        code, out, _ = run(capsys, "class-number", "--disc", "7268")
+        assert code == 0
+        (rec,) = parse_lines(out)
+        assert rec == {"agree": True, "disc": 7268, "h_descent": 2, "h_forms": 2}
+
+    def test_class_number_descent_disagreement_exits_4(self, capsys, monkeypatch):
+        descent = cli.quadfield.class_number_4D
+        monkeypatch.setattr(cli.quadfield, "class_number_4D", lambda D, unit: descent(D, unit) + 1)
+        code, out, err = run(capsys, "class-number", "--disc", "7268")
+        assert code == 4 and out == ""
+        assert err.count("\n") == 1 and "ComputationBug" in err and "the descent" in err
+        assert "h = 2" in err and "h = 3" in err
 
     @pytest.mark.parametrize("disc", ["-2", "-1", "0"])
     def test_class_number_of_a_nonpositive_disc_is_a_usage_error(self, capsys, disc):

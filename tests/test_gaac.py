@@ -4,7 +4,7 @@ import random
 import pytest
 
 from aactk import gaac, quadfield, scan
-from aactk.errors import EvenD, NotSquarefree, OutOfRange, PerfectSquare
+from aactk.errors import ComputationBug, EvenD, NotSquarefree, OutOfRange, PerfectSquare
 
 
 def squarefree_oracle(m):
@@ -51,6 +51,27 @@ class TestGaacCheck:
     def test_record_fields(self):
         rec = gaac.gaac_check(15).to_record()
         assert set(rec) == {"D", "v1_mod_D", "h4D", "holds"}
+
+    def test_one_walk_of_4D_gives_v1_and_h4D(self, monkeypatch):
+        v1 = {D: quadfield.pell_min_solution(D).v1 % D for D in (1817, 1819)}
+        walked, walk = [], quadfield.unit_of_discriminant
+        monkeypatch.setattr(quadfield, "unit_of_discriminant", lambda d: walked.append(d) or walk(d))
+        for D in (1817, 1819):
+            assert gaac.gaac_check(D).v1_mod_D == v1[D]
+        assert walked == [4 * 1817, 1817, 4 * 1819]  # D = 1 mod 4 walks D for the descent
+
+    # norm -1 and k = 3, norm +1 and k = 3, k = 1 at 5 mod 8, k = 1 at 1 mod 8
+    @pytest.mark.parametrize("D", [13, 21, 37, 1817])
+    def test_a_walk_of_D_that_returns_eps_squared_raises(self, monkeypatch, D):
+        walk = quadfield.unit_of_discriminant
+
+        def squared(disc):
+            t, u, norm = walk(disc)
+            return ((t * t + disc * u * u) // 2, t * u, 1) if disc == D else (t, u, norm)
+
+        monkeypatch.setattr(quadfield, "unit_of_discriminant", squared)
+        with pytest.raises(ComputationBug, match=f"^D = {D}: the unit"):
+            gaac.gaac_check(D)
 
 
 class TestCounterexamples:

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import os
 import random
 import signal
 
@@ -711,6 +712,65 @@ class TestWalkGuard:
         forms = self.patch(monkeypatch, lambda forms: forms + forms[::3])
         assert len(forms) == 372
         assert quadfield.form_class_number(self.DISC) == 4
+
+
+def descent_matches_cycle_count(D):
+    h4d = quadfield.class_number_4D(D, quadfield.unit_of_discriminant(4 * D))
+    assert h4d == quadfield.form_class_number(4 * D), D
+
+
+def ones_mod_4(lo, hi):
+    """The nonsquare D = 1 mod 4 in [lo, hi]."""
+    return [D for D in range(lo + (1 - lo) % 4, hi + 1, 4) if math.isqrt(D) ** 2 != D]
+
+
+class TestConductorTwoDescent:
+    """class_number_4D against form_class_number(4D), the cycle count."""
+
+    def test_every_d_1_mod_4_below_20000(self):
+        for D in ones_mod_4(5, 19999):
+            descent_matches_cycle_count(D)
+
+    @pytest.mark.parametrize("failure", [209991, 1752299])
+    def test_200_either_side_of_a_failure(self, failure):
+        below = [D for D in ones_mod_4(failure - 1000, failure) if D < failure][-200:]
+        above = ones_mod_4(failure, failure + 1000)[:200]
+        assert len(below) == len(above) == 200
+        for D in below + above:
+            descent_matches_cycle_count(D)
+
+    @pytest.mark.parametrize(
+        "D, h_D, h_4D, k",
+        [
+            (5, 1, 1, 3),  # eps = (1 + sqrt 5)/2, eps^3 = 2 + sqrt 5
+            (13, 1, 1, 3),  # eps = (3 + sqrt 13)/2, eps^3 = 18 + 5 sqrt 13
+            (37, 1, 3, 1),  # 5 mod 8, eps = 6 + sqrt 37 in Z[sqrt 37]: h(4D) = 3h(D)
+            (17, 1, 1, 1),  # 1 mod 8, eps = 4 + sqrt 17: h(4D) = h(D)
+        ],
+    )
+    def test_anchors(self, D, h_D, h_4D, k):
+        t, u, norm = quadfield.unit_of_discriminant(D)
+        assert (t % 2 == 0) == (k == 1)
+        assert quadfield.form_class_number(D) == h_D
+        assert quadfield.class_number_4D(D, quadfield.unit_of_discriminant(4 * D)) == h_4D
+        assert quadfield.form_class_number(4 * D) == h_4D
+
+    def test_d_3_mod_4_is_the_cycle_count(self):
+        for D in (3, 7, 11, 1819, 209991):
+            assert quadfield.class_number_4D(D, None) == quadfield.form_class_number(4 * D)
+
+    @pytest.mark.parametrize("D", [5, 13, 37, 17])
+    def test_a_unit_of_4D_that_is_no_power_of_eps_raises(self, D):
+        t4, u4, norm4 = quadfield.unit_of_discriminant(4 * D)
+        square = ((t4 * t4 + 4 * D * u4 * u4) // 2, t4 * u4, 1)
+        with pytest.raises(ComputationBug, match=f"^D = {D}: the unit"):
+            quadfield.class_number_4D(D, square)
+
+
+@pytest.mark.skipif(os.environ.get("AACTK_SLOW") != "1", reason="set AACTK_SLOW=1 to run")
+def test_descent_matches_cycle_count_to_2e5():
+    for D in ones_mod_4(5, 200000):
+        descent_matches_cycle_count(D)
 
 
 class TestFormSieve:

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import pytest
 
 import aactk
 from aactk import modmath, quadfield, scan
-from aactk.errors import OutOfRange, PreconditionViolation
+from aactk.errors import CheckpointCorrupt, OutOfRange, PreconditionViolation
 
 
 def test_declared_fields_match_the_workers():
@@ -38,6 +39,39 @@ def test_resumed_refuses_a_block_that_straddles_the_range():
     straddling = {"n_lo": 2900, "n_hi": 3100, "count": 0}
     with pytest.raises(PreconditionViolation):
         scan.resumed("density", 2, 3000, items, [straddling])
+
+
+def test_every_field_has_a_resume_type():
+    for kind, (_, _, fields) in scan.KINDS.items():
+        assert set(scan._RECORD_RULES[kind][0]) == fields, kind
+
+
+@pytest.mark.parametrize(
+    "kind, lo, hi, edit, message",
+    [
+        ("eisenstein", 13, 13, {"holds": False}, "breaks holds == (lhs == rhs)"),
+        ("eisenstein", 13, 13, {"params": []}, "params is list, not dict"),
+        ("density", 2, 1001, {"count": 1001}, "breaks 0 <= count <= n_hi - n_lo + 1"),
+        ("density", 2, 1001, {"count": -1}, "breaks 0 <= count"),
+        ("density", 2, 1001, {"count": 3.0}, "count is float, not int"),
+    ],
+)
+def test_resumed_refuses_a_record_that_breaks_its_kind_rule(kind, lo, hi, edit, message):
+    items = scan.plan(kind, lo, hi)
+    (record,) = scan.run(kind, items)
+    assert scan.resumed(kind, lo, hi, items, [record]) == {items[0]: record}
+    with pytest.raises(CheckpointCorrupt, match=re.escape(message)):
+        scan.resumed(kind, lo, hi, items, [{**record, **edit}])
+
+
+def test_resumed_takes_identical_duplicates_once_and_refuses_others():
+    items = scan.plan("density", 2, 3001, 1000)
+    records = list(scan.run("density", items))
+    done = scan.resumed("density", 2, 3001, items, records + records[::-1])
+    assert list(done.values()) == records
+    other = {**records[1], "count": records[1]["count"] - 1}
+    with pytest.raises(CheckpointCorrupt, match="differ for one item"):
+        scan.resumed("density", 2, 3001, items, records + [other])
 
 
 def test_process_pool_is_imported_only_for_a_pool():
